@@ -16,7 +16,7 @@ from .channel import (
 from .clock import SimulatedClock, SystemClock
 from .control import AppContext, AppInfo, Catalog, CatalogEntry, HostDescriptor, Lcmp, Meo, place_app
 from .errors import EdgeQkdError
-from .gateway import ClientKeyStore, Gateway, RouteBinding
+from .gateway import Gateway, RouteBinding
 from .harness import RunMetrics, RunResult, ScenarioConfig, run_scenario, wiretap_assert
 from .host import BUILTIN_HANDLERS, MecHost
 from .keystore import KeyStore
@@ -31,7 +31,6 @@ __all__ = [
     "Catalog",
     "CatalogEntry",
     "CipherSuite",
-    "ClientKeyStore",
     "EdgeQkdError",
     "EncryptedEnvelope",
     "EntropyPool",

@@ -2,11 +2,10 @@
 
 Protocol: the client advertises cipher suites, the server picks the lowest
 common identifier, the client fetches one key from its key-management
-entity and announces the key identifier, and payloads then travel as
-envelopes carrying (key_ID, cipher_suite, nonce, ciphertext) with no
-plaintext. The server side fetches the matching key lazily on the first
-envelope that names it. Key identifiers and suite identifiers are not
-secret and travel in the clear.
+entity, and payloads then travel as envelopes carrying (key_ID,
+cipher_suite, nonce, ciphertext) with no plaintext. The server side fetches
+the matching key lazily on the first envelope that names it. Key
+identifiers and suite identifiers are not secret and travel in the clear.
 
 Keys are refreshed per policy: after `max_uses` encryptions or once the
 current key is older than `max_age_sec`, the next encryption fetches a
@@ -171,19 +170,6 @@ def decode_server_hello(data: bytes) -> int:
     return doc["cipher_suite"]
 
 
-def encode_key_announce(client_sae: str, key_id: str, suite_id: int) -> bytes:
-    return dumps({"client_sae": client_sae, "key_ID": key_id, "cipher_suite": suite_id})
-
-
-def decode_key_announce(data: bytes) -> tuple[str, str, int]:
-    doc = loads(data)
-    if not isinstance(doc, dict) or "key_ID" not in doc:
-        raise MalformedError("key announce must carry key_ID")
-    if not isinstance(doc.get("cipher_suite"), int):
-        raise MalformedError("key announce must carry an integer cipher_suite")
-    return str(doc.get("client_sae", "")), str(doc["key_ID"]), doc["cipher_suite"]
-
-
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
@@ -196,16 +182,14 @@ def establish_context(client_sae: str, server_sae: str, offered_suites: Sequence
                       kme, key_store: KeyStore, policy: RefreshPolicy, *,
                       clock: Clock,
                       hello: Callable[[Sequence[int]], int],
-                      announce: Callable[[str, int], None] | None = None,
                       registry: Mapping[int, CipherSuite] | None = None,
                       ) -> SecurityContext:
     """Run the full context-creation exchange from the client side.
 
     `hello` performs the suite negotiation round trip with the server and
-    returns the selected suite id; `announce` (optional) tells the server
-    which key id the context is bound to. One key is fetched eagerly and
-    cached in the caller's key store; the server side fetches its copy
-    lazily when the first envelope arrives.
+    returns the selected suite id. One key is fetched eagerly and cached in
+    the caller's key store; the server side fetches its copy lazily when the
+    first envelope names its key id.
     """
     registry = registry if registry is not None else default_registry()
     suite_id = hello(offered_suites)
@@ -218,8 +202,6 @@ def establish_context(client_sae: str, server_sae: str, offered_suites: Sequence
     keys = kme.get_enc_keys(server_sae, size=suite.key_length, number=1)
     key_id, key_bits = keys[0]
     key_store.put(key_id, key_bits, suite.suite_id)
-    if announce is not None:
-        announce(key_id, suite.suite_id)
     return SecurityContext(
         client_sae=client_sae, server_sae=server_sae, suite=suite,
         current_key_id=key_id, policy=policy, established_at=clock.now(),

@@ -233,14 +233,13 @@ class Meo:
     """Orchestrator: owns the host inventory and every slot commitment."""
 
     def __init__(self, catalog: Catalog, commanders: Mapping[str, HostCommander],
-                 host_slots: Mapping[str, int], *, idle_reap: bool = True) -> None:
+                 host_slots: Mapping[str, int]) -> None:
         self._catalog = catalog
         self._commanders = dict(commanders)
         self._inventory = {
             host_id: HostDescriptor(host_id=host_id, total_slots=slots)
             for host_id, slots in host_slots.items()
         }
-        self._idle_reap = idle_reap
         self._lock = threading.RLock()
 
     def snapshot(self) -> list[HostDescriptor]:
@@ -304,7 +303,7 @@ class Meo:
     def _release_ref_locked(self, uri: str) -> None:
         host, instance = self._find_instance(uri)
         instance.refcount = max(0, instance.refcount - 1)
-        if instance.refcount == 0 and self._idle_reap:
+        if instance.refcount == 0:
             self._commanders[host.host_id].undeploy(uri)
             del host.instances[uri]
             host.used_slots -= instance.app.required_slots

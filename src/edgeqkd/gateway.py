@@ -45,27 +45,6 @@ from .wire import decode_error
 logger = logging.getLogger(__name__)
 
 
-class ClientKeyStore(KeyStore):
-    """Domain key store that also caches context data (endpoints) per route."""
-
-    def __init__(self, clock: Clock, max_age_sec: float) -> None:
-        super().__init__(clock, max_age_sec)
-        self._endpoints: dict[str, dict] = {}
-        self._endpoint_lock = threading.Lock()
-
-    def put_endpoint(self, route: str, context_doc: dict) -> None:
-        with self._endpoint_lock:
-            self._endpoints[route] = dict(context_doc)
-
-    def get_endpoint(self, route: str) -> dict | None:
-        with self._endpoint_lock:
-            return self._endpoints.get(route)
-
-    def drop_endpoint(self, route: str) -> None:
-        with self._endpoint_lock:
-            self._endpoints.pop(route, None)
-
-
 @dataclass
 class RouteBinding:
     path_prefix: str
@@ -81,7 +60,7 @@ class RouteBinding:
 
 class Gateway:
     def __init__(self, *, bindings: list[RouteBinding], transport: Transport,
-                 lcmp_url: str, kme, key_store: ClientKeyStore,
+                 lcmp_url: str, kme, key_store: KeyStore,
                  policy: channel.RefreshPolicy, clock: Clock,
                  registry: dict[int, channel.CipherSuite] | None = None,
                  offered_suites: tuple[int, ...] = (1,),
@@ -121,7 +100,6 @@ class Gateway:
         doc = self._mx2.create_context(binding.app_name, binding.provider, binding.version)
         binding.context_id = str(doc["context_id"])
         binding.endpoint_uri = str(doc["endpoint_uri"])
-        self._store.put_endpoint(binding.path_prefix, doc)
         return doc
 
     def _host_base(self, endpoint_uri: str) -> str:
@@ -138,15 +116,6 @@ class Gateway:
         raise_for_status(response)
         return channel.decode_server_hello(response.body)
 
-    def _announce(self, base: str, key_id: str, suite_id: int) -> None:
-        response = self._transport.request(
-            src=self._component, channel="handshake", method="POST",
-            url=base + "/sae/v1/announce",
-            body=channel.encode_key_announce(self._sae, key_id, suite_id),
-            headers={"content-type": "application/json"},
-        )
-        raise_for_status(response)
-
     def _ensure_ready(self, binding: RouteBinding) -> None:
         with binding.lock:
             if binding.context_id is None:
@@ -159,7 +128,6 @@ class Gateway:
                 self._sae, self._server_sae, self._offered, self._kme, self._store,
                 self._policy, clock=self._clock,
                 hello=lambda offered: self._hello(base, offered),
-                announce=lambda key_id, suite_id: self._announce(base, key_id, suite_id),
                 registry=self._registry,
             )
 
@@ -170,7 +138,6 @@ class Gateway:
             binding.security = None
             binding.context_id = None
             binding.endpoint_uri = None
-            self._store.drop_endpoint(binding.path_prefix)
 
     def teardown(self, binding: RouteBinding) -> None:
         """Delete the route's context and scrub its keys; idempotent."""

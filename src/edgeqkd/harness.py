@@ -25,7 +25,7 @@ from .clock import Clock, SimulatedClock, SystemClock
 from .control import AppInfo, Catalog, CatalogEntry, HostCommander, Lcmp, Meo
 from .entropy import make_stream
 from .errors import InvalidConfigError
-from .gateway import ClientKeyStore, Gateway, RouteBinding
+from .gateway import Gateway, RouteBinding
 from .host import BUILTIN_HANDLERS, MecHost
 from .httpd import ComponentHttpServer, HttpTransport
 from .keystore import KeyStore
@@ -315,7 +315,7 @@ class Stack:
 
         gateway_kme = KmeClient(transport, src="gateway",
                                 base_url=url_of["kme-client"], channel="qkd")
-        client_store = ClientKeyStore(clock, config.policy.max_age_sec)
+        client_store = KeyStore(clock, config.policy.max_age_sec)
         bindings = [
             RouteBinding(path_prefix=b.path_prefix, app_name=b.app_name,
                          provider=b.provider, version=b.version, plaintext=b.plaintext)

@@ -91,7 +91,6 @@ class MecHost:
                  handlers: Mapping[str, Handler] | None = None) -> None:
         self.host_id = host_id
         self.total_slots = total_slots
-        self.used_slots = 0
         self.base_url = base_url.rstrip("/")
         self.sae_id = sae_id
         self.master_sae = master_sae
@@ -102,7 +101,6 @@ class MecHost:
         self._registry = dict(registry) if registry is not None else channel.default_registry()
         self._handlers = dict(handlers) if handlers is not None else dict(BUILTIN_HANDLERS)
         self._instances: dict[str, MecAppInstance] = {}  # by path segment
-        self._announced: dict[str, tuple[str, int]] = {}  # client sae -> (key id, suite)
         self._seq = 0
         self._lock = threading.RLock()
         self._inflight: dict[str, _Inflight] = {}
@@ -110,6 +108,11 @@ class MecHost:
         self.dec_fetches = 0
 
     # -- management ------------------------------------------------------------
+
+    @property
+    def used_slots(self) -> int:
+        with self._lock:
+            return sum(int(i.app_doc.get("required_slots", 1)) for i in self._instances.values())
 
     def deploy(self, app_doc: dict, handler_name: str, shareable: bool,
                chain_uri: str | None) -> MecAppInstance:
@@ -128,16 +131,13 @@ class MecHost:
                 shareable=shareable, chain_uri=chain_uri,
             )
             self._instances[segment] = instance
-            self.used_slots += required
             return instance
 
     def undeploy(self, uri: str) -> None:
         with self._lock:
             segment = self._segment_for(uri)
-            instance = self._instances.pop(segment, None)
-            if instance is None:
+            if self._instances.pop(segment, None) is None:
                 raise NotFoundError(f"no instance at {uri}")
-            self.used_slots -= int(instance.app_doc.get("required_slots", 1))
 
     def attach_context(self, uri: str, context_id: str) -> None:
         with self._lock:
@@ -246,7 +246,6 @@ class MecHost:
         router.add("POST", "/mgmt/v1/attach", self._w_attach)
         router.add("POST", "/mgmt/v1/detach", self._w_detach)
         router.add("POST", "/sae/v1/hello", self._w_hello)
-        router.add("POST", "/sae/v1/announce", self._w_announce)
         router.add("POST", "/apps/{segment}/invoke", self._w_invoke)
         router.add("POST", "/apps/{segment}/invoke_plain", self._w_invoke_plain)
         router.add("GET", "/apps/{segment}/healthz", self._w_healthz)
@@ -283,14 +282,6 @@ class MecHost:
         selected = channel.negotiate(offered, sorted(self._registry))
         return WireResponse(status=200, headers={"content-type": "application/json"},
                             body=channel.encode_server_hello(selected))
-
-    def _w_announce(self, request: WireRequest):
-        client_sae, key_id, suite_id = channel.decode_key_announce(request.body)
-        if suite_id not in self._registry:
-            raise MalformedError(f"announced unknown cipher suite {suite_id}")
-        # the key itself is fetched lazily when the first envelope names it
-        self._announced[client_sae] = (key_id, suite_id)
-        return json_response(200, {})
 
     def _w_invoke(self, request: WireRequest, segment: str):
         with self._lock:

@@ -10,20 +10,11 @@ from __future__ import annotations
 import http.client
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Mapping
 from urllib.parse import parse_qsl, urlsplit
 
-from .clock import Clock, SystemClock
+from .clock import Clock
 from .errors import PeerUnreachableError
-from .transport import (
-    Router,
-    Transcript,
-    Transport,
-    WireRequest,
-    WireResponse,
-    frame_request,
-    frame_response,
-)
+from .transport import Router, Transcript, Transport, WireRequest, WireResponse, _render_query
 
 _HOP_HEADERS = {"content-length", "host", "connection", "accept-encoding", "user-agent"}
 
@@ -92,45 +83,32 @@ class ComponentHttpServer:
 class HttpTransport(Transport):
     """Client side of component HTTP, with transcript taps at the caller."""
 
+    scheme = "http"
+
     def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None,
-                 names: Mapping[str, str] | None = None, timeout: float = 10.0) -> None:
-        self._clock = clock or SystemClock()
-        self.transcript = transcript if transcript is not None else Transcript(self._clock)
-        self._names = dict(names or {})  # authority -> component name
+                 timeout: float = 10.0) -> None:
+        super().__init__(transcript, clock)
+        self._names: dict[str, str] = {}  # authority -> component name
         self._timeout = timeout
 
     def register_name(self, authority: str, name: str) -> None:
         self._names[authority] = name
 
-    def request(self, *, src: str, channel: str, method: str, url: str,
-                headers: Mapping[str, str] | None = None, body: bytes = b"",
-                query: Mapping[str, str] | None = None) -> WireResponse:
-        parts = urlsplit(url)
-        if parts.scheme != "http":
-            raise PeerUnreachableError(f"unsupported URL scheme {parts.scheme!r}")
-        query_map = dict(query or {})
-        query_map.update(dict(parse_qsl(parts.query)))
-        req_headers = {k.lower(): v for k, v in (headers or {}).items()}
-        dst = self._names.get(parts.netloc, parts.netloc)
-        self.transcript.append(src, dst, channel,
-                               frame_request(method, parts.path, query_map, req_headers, body))
-        path = parts.path
-        if query_map:
-            path += "?" + "&".join(f"{k}={v}" for k, v in sorted(query_map.items()))
+    def _destination(self, authority: str) -> str:
+        return self._names.get(authority, authority)
+
+    def _send(self, authority: str, request: WireRequest) -> WireResponse:
         try:
-            conn = http.client.HTTPConnection(parts.netloc, timeout=self._timeout)
+            conn = http.client.HTTPConnection(authority, timeout=self._timeout)
             try:
-                conn.request(method.upper(), path, body=body, headers=req_headers)
+                conn.request(request.method, request.path + _render_query(request.query),
+                             body=request.body, headers=request.headers)
                 raw = conn.getresponse()
                 resp_body = raw.read()
                 resp_headers = {k.lower(): v for k, v in raw.getheaders()
                                 if k.lower() not in _HOP_HEADERS}
-                response = WireResponse(status=raw.status, headers=resp_headers, body=resp_body)
+                return WireResponse(status=raw.status, headers=resp_headers, body=resp_body)
             finally:
                 conn.close()
         except OSError as exc:
-            raise PeerUnreachableError(f"cannot reach {parts.netloc}: {exc}") from exc
-        self.transcript.append(dst, src, channel,
-                               frame_response(response.status, method, parts.path, query_map,
-                                              response.headers, response.body))
-        return response
+            raise PeerUnreachableError(f"cannot reach {authority}: {exc}") from exc

@@ -19,7 +19,6 @@ class KeyStoreEntry:
     key_bits: bytes
     suite_id: int
     inserted_at: float
-    uses: int = 0
 
 
 class KeyStore:
@@ -53,7 +52,6 @@ class KeyStore:
             if self._expired(entry, now):
                 del self._entries[key_id]
                 raise NotFoundError(f"key {key_id} expired")
-            entry.uses += 1
             return entry
 
     def discard(self, key_id: str) -> None:

@@ -105,22 +105,14 @@ def _render_query(query: Mapping[str, str]) -> str:
     return "?" + "&".join(f"{k}={v}" for k, v in sorted(query.items()))
 
 
-def frame_request(method: str, path: str, query: Mapping[str, str], headers: Mapping[str, str], body: bytes) -> bytes:
-    head = [f"REQ {method.upper()} {path}{_render_query(query)}"]
-    head += [f"{k}: {v}" for k, v in sorted(headers.items())]
-    return ("\n".join(head) + "\n\n").encode("utf-8") + body
-
-
-def frame_response(status: int, method: str, path: str, query: Mapping[str, str],
-                   headers: Mapping[str, str], body: bytes) -> bytes:
-    head = [f"RSP {status} {method.upper()} {path}{_render_query(query)}"]
-    head += [f"{k}: {v}" for k, v in sorted(headers.items())]
+def frame(first_line: str, headers: Mapping[str, str], body: bytes) -> bytes:
+    head = [first_line] + [f"{k}: {v}" for k, v in sorted(headers.items())]
     return ("\n".join(head) + "\n\n").encode("utf-8") + body
 
 
 @dataclass(frozen=True)
 class Frame:
-    """A parsed transcript payload (inverse of frame_request/frame_response)."""
+    """A parsed transcript payload (inverse of frame)."""
 
     kind: str  # "REQ" | "RSP"
     status: int | None
@@ -167,9 +159,6 @@ class Transcript:
         with self._lock:
             return list(self._records)
 
-    def to_ndjson(self) -> bytes:
-        return b"".join(dumps(rec) + b"\n" for rec in self.records())
-
     @staticmethod
     def parse_ndjson(data: bytes) -> list[dict[str, Any]]:
         records = []
@@ -188,18 +177,49 @@ def record_payload(record: Mapping[str, Any]) -> bytes:
 # ---------------------------------------------------------------------------
 
 class Transport:
+    """One exchange: normalise the URL, record the request frame, send, and
+    record the response frame. Subclasses supply `scheme`, `_destination`
+    (the component name recorded in the transcript) and `_send`."""
+
+    scheme = ""
+
+    def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None) -> None:
+        self._clock = clock or SystemClock()
+        self.transcript = transcript if transcript is not None else Transcript(self._clock)
+
     def request(self, *, src: str, channel: str, method: str, url: str,
                 headers: Mapping[str, str] | None = None, body: bytes = b"",
                 query: Mapping[str, str] | None = None) -> WireResponse:
+        parts = urlsplit(url)
+        if parts.scheme != self.scheme:
+            raise PeerUnreachableError(f"unsupported URL scheme {parts.scheme!r}")
+        query_map = dict(query or {})
+        query_map.update(parse_qsl(parts.query))
+        request = WireRequest(method=method.upper(), path=parts.path,
+                              headers={k.lower(): v for k, v in (headers or {}).items()},
+                              body=body, query=query_map)
+        target = f"{request.method} {parts.path}{_render_query(query_map)}"
+        dst = self._destination(parts.netloc)
+        self.transcript.append(src, dst, channel, frame(f"REQ {target}", request.headers, body))
+        response = self._send(parts.netloc, request)
+        self.transcript.append(dst, src, channel,
+                               frame(f"RSP {response.status} {target}", response.headers, response.body))
+        return response
+
+    def _destination(self, authority: str) -> str:
+        return authority
+
+    def _send(self, authority: str, request: WireRequest) -> WireResponse:
         raise NotImplementedError
 
 
 class InprocTransport(Transport):
     """Routes inproc:// URLs straight into registered component routers."""
 
+    scheme = "inproc"
+
     def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None) -> None:
-        self._clock = clock or SystemClock()
-        self.transcript = transcript if transcript is not None else Transcript(self._clock)
+        super().__init__(transcript, clock)
         self._components: dict[str, Router] = {}
 
     def register(self, name: str, router: Router) -> None:
@@ -207,32 +227,14 @@ class InprocTransport(Transport):
             raise ValueError(f"component {name!r} already registered")
         self._components[name] = router
 
-    def request(self, *, src: str, channel: str, method: str, url: str,
-                headers: Mapping[str, str] | None = None, body: bytes = b"",
-                query: Mapping[str, str] | None = None) -> WireResponse:
-        parts = urlsplit(url)
-        if parts.scheme != "inproc":
-            raise PeerUnreachableError(f"unsupported URL scheme {parts.scheme!r}")
-        name = parts.netloc
-        query_map = dict(query or {})
-        query_map.update(dict(parse_qsl(parts.query)))
-        req_headers = {k.lower(): v for k, v in (headers or {}).items()}
-        self.transcript.append(src, name, channel,
-                               frame_request(method, parts.path, query_map, req_headers, body))
-        router = self._components.get(name)
+    def _send(self, authority: str, request: WireRequest) -> WireResponse:
+        router = self._components.get(authority)
         if router is None:
-            response = error_response(PeerUnreachableError(f"unknown component {name!r}"))
-        else:
-            request = WireRequest(method=method.upper(), path=parts.path,
-                                  headers=req_headers, body=body, query=query_map)
-            try:
-                response = router.dispatch(request)
-            except Exception as exc:  # component bug: surface as a 500 frame
-                response = error_response(EdgeQkdError(f"unhandled error: {exc}"))
-        self.transcript.append(name, src, channel,
-                               frame_response(response.status, method, parts.path, query_map,
-                                              response.headers, response.body))
-        return response
+            return error_response(PeerUnreachableError(f"unknown component {authority!r}"))
+        try:
+            return router.dispatch(request)
+        except Exception as exc:  # component bug: surface as a 500 frame
+            return error_response(EdgeQkdError(f"unhandled error: {exc}"))
 
 
 def raise_for_status(response: WireResponse) -> WireResponse:

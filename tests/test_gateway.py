@@ -61,10 +61,22 @@ def test_first_request_costs_one_context_and_one_key():
     assert response.status == 200 and response.body == b"hi"
     assert contexts_created(stack) == 1
     assert keys_dispensed(stack) == 1
-    # the endpoint ends up cached in the client-domain key store
+    # the route's binding holds the endpoint its context was created for
     binding = stack.gateway.binding_for("/echo")
-    cached = stack.gateway._store.get_endpoint("/echo")
-    assert cached and cached["endpoint_uri"] == binding.endpoint_uri
+    context = stack.lcmp.get_context(binding.context_id)
+    assert binding.endpoint_uri and binding.endpoint_uri == context.endpoint_uri
+
+
+def test_first_request_per_route_costs_one_handshake_exchange():
+    stack = build()
+    for path in ("/echo", "/upper", "/sum"):
+        before = count_frames(stack, "handshake", lambda f: f.kind == "REQ")
+        assert stack.client_request(path, b"[1]").status == 200
+        assert count_frames(stack, "handshake", lambda f: f.kind == "REQ") == before + 1
+        # later requests on the route need no handshake at all
+        assert stack.client_request(path, b"[1]").status == 200
+        assert count_frames(stack, "handshake", lambda f: f.kind == "REQ") == before + 1
+    assert not any(f.path == "/sae/v1/announce" for _, f in iter_frames(stack.transcript.records()))
 
 
 def test_second_request_reuses_everything():

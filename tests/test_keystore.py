@@ -64,10 +64,3 @@ def test_sweep(sim_clock):
     sim_clock.advance(3)
     assert store.sweep() == 1  # only "a" is past its age
     assert "b" in store
-
-
-def test_uses_counter(store):
-    store.put("k", b"z" * 16, 2)
-    store.get("k")
-    store.get("k")
-    assert store.get("k").uses == 3
