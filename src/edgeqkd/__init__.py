@@ -1,12 +1,12 @@
 """QKD-keyed transparent encryption for edge request/response workloads."""
 
 from .channel import (
+    SUITES,
     CipherSuite,
     EncryptedEnvelope,
     RefreshPolicy,
     SecurityContext,
     decrypt,
-    default_registry,
     encrypt,
     encrypt_response,
     establish_context,
@@ -45,12 +45,12 @@ __all__ = [
     "RouteBinding",
     "RunMetrics",
     "RunResult",
+    "SUITES",
     "ScenarioConfig",
     "SecurityContext",
     "SimulatedClock",
     "SystemClock",
     "decrypt",
-    "default_registry",
     "encrypt",
     "encrypt_response",
     "establish_context",

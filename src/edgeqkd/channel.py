@@ -1,11 +1,13 @@
 """Secure channel between two application entities.
 
-Protocol: the client advertises cipher suites, the server picks the lowest
-common identifier, the client fetches one key from its key-management
-entity, and payloads then travel as envelopes carrying (key_ID,
-cipher_suite, nonce, ciphertext) with no plaintext. The server side fetches
-the matching key lazily on the first envelope that names it. Key
-identifiers and suite identifiers are not secret and travel in the clear.
+Protocol: both sides share one suite table, `SUITES`. The client picks the
+lowest suite id it offers that the table knows, fetches one key from its
+key-management entity, and payloads then travel as envelopes carrying
+(key_ID, cipher_suite, nonce, ciphertext) with no plaintext. As in ETSI GS
+QKD 014, no set-up message reaches the server: it fetches the key named by
+the first envelope lazily, and checks on every envelope that the suite is
+known and matches the key. Key identifiers and suite identifiers are not
+secret and travel in the clear.
 
 Keys are refreshed per policy: after `max_uses` encryptions or once the
 current key is older than `max_age_sec`, the next encryption fetches a
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -56,12 +59,11 @@ class CipherSuite:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def default_registry() -> dict[int, CipherSuite]:
-    """Built-in suites: 1 = AES-256-GCM, 2 = one-time pad (single use per key)."""
-    return {
-        1: CipherSuite(suite_id=1, name="aes256-gcm", key_length=256, mode=MODE_AEAD),
-        2: CipherSuite(suite_id=2, name="one-time-pad", key_length=2048, mode=MODE_OTP),
-    }
+# Built-in suites: 1 = AES-256-GCM, 2 = one-time pad (single use per key).
+SUITES: Mapping[int, CipherSuite] = MappingProxyType({
+    1: CipherSuite(suite_id=1, name="aes256-gcm", key_length=256, mode=MODE_AEAD),
+    2: CipherSuite(suite_id=2, name="one-time-pad", key_length=2048, mode=MODE_OTP),
+})
 
 
 def negotiate(offered: Sequence[int], supported: Sequence[int]) -> int:
@@ -142,35 +144,6 @@ class EncryptedEnvelope:
 
 
 # ---------------------------------------------------------------------------
-# Handshake message codecs
-# ---------------------------------------------------------------------------
-
-def encode_client_hello(client_sae: str, suite_ids: Sequence[int]) -> bytes:
-    return dumps({"client_sae": client_sae, "cipher_suites": list(suite_ids)})
-
-
-def decode_client_hello(data: bytes) -> tuple[str, list[int]]:
-    doc = loads(data)
-    if not isinstance(doc, dict) or not isinstance(doc.get("cipher_suites"), list):
-        raise MalformedError("client hello must carry a cipher_suites array")
-    suites = doc["cipher_suites"]
-    if not all(isinstance(s, int) for s in suites):
-        raise MalformedError("cipher_suites must be integers")
-    return str(doc.get("client_sae", "")), list(suites)
-
-
-def encode_server_hello(suite_id: int) -> bytes:
-    return dumps({"cipher_suite": suite_id})
-
-
-def decode_server_hello(data: bytes) -> int:
-    doc = loads(data)
-    if not isinstance(doc, dict) or not isinstance(doc.get("cipher_suite"), int):
-        raise MalformedError("server hello must carry an integer cipher_suite")
-    return doc["cipher_suite"]
-
-
-# ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
 
@@ -180,22 +153,15 @@ def should_refresh(ctx: SecurityContext, now: float) -> bool:
 
 def establish_context(client_sae: str, server_sae: str, offered_suites: Sequence[int],
                       kme, key_store: KeyStore, policy: RefreshPolicy, *,
-                      clock: Clock,
-                      hello: Callable[[Sequence[int]], int],
-                      registry: Mapping[int, CipherSuite] | None = None,
-                      ) -> SecurityContext:
-    """Run the full context-creation exchange from the client side.
+                      clock: Clock) -> SecurityContext:
+    """Create a security context on the client side.
 
-    `hello` performs the suite negotiation round trip with the server and
-    returns the selected suite id. One key is fetched eagerly and cached in
-    the caller's key store; the server side fetches its copy lazily when the
-    first envelope names its key id.
+    The suite is the lowest offered id in `SUITES`; the server needs no
+    set-up message because every envelope names its suite. One key is
+    fetched eagerly and cached in the caller's key store; the server side
+    fetches its copy lazily when the first envelope names its key id.
     """
-    registry = registry if registry is not None else default_registry()
-    suite_id = hello(offered_suites)
-    suite = registry.get(suite_id)
-    if suite is None:
-        raise NoCommonSuiteError(f"server selected unknown suite {suite_id}")
+    suite = SUITES[negotiate(offered_suites, list(SUITES))]
     if suite.mode == MODE_OTP:
         # a pad is never reused, whatever the configured budget says
         policy = replace(policy, max_uses=1)
@@ -281,16 +247,14 @@ def encrypt(ctx: SecurityContext, plaintext: bytes, key_store: KeyStore, kme, *,
 
 
 def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, kme=None,
-            master_sae: str | None = None, *, response: bool = False,
-            registry: Mapping[int, CipherSuite] | None = None) -> bytes:
+            master_sae: str | None = None, *, response: bool = False) -> bytes:
     """Open an envelope, fetching-and-caching the key if it is not stored yet.
 
     With `kme=None` the store is the only key source (used where the caller
     has already resolved the key, or must never fetch). `response` selects
     the reply direction (nonce space and pad half).
     """
-    registry = registry if registry is not None else default_registry()
-    suite = registry.get(envelope.suite_id)
+    suite = SUITES.get(envelope.suite_id)
     if suite is None:
         raise MalformedError(f"unknown cipher suite {envelope.suite_id}")
     try:
@@ -311,11 +275,9 @@ def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, kme=None,
 
 
 def encrypt_response(request_envelope: EncryptedEnvelope, plaintext: bytes,
-                     key_store: KeyStore, sender_sae: str, *,
-                     registry: Mapping[int, CipherSuite] | None = None) -> EncryptedEnvelope:
+                     key_store: KeyStore, sender_sae: str) -> EncryptedEnvelope:
     """Seal a reply under the same key the request used (distinct nonce direction)."""
-    registry = registry if registry is not None else default_registry()
-    suite = registry.get(request_envelope.suite_id)
+    suite = SUITES.get(request_envelope.suite_id)
     if suite is None:
         raise MalformedError(f"unknown cipher suite {request_envelope.suite_id}")
     try:

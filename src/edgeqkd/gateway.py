@@ -2,11 +2,11 @@
 
 Client programs speak plain HTTP to the gateway and never see anything
 else. On the first request for a route the gateway discovers the
-application, creates an application context, negotiates a cipher suite
-with the serving host, and binds a key; afterwards it encrypts request
-bodies, invokes the remote instance, and decrypts responses, rolling keys
-per the refresh policy. Establishment is single-flight per route, so a
-burst of first requests costs exactly one context and one key.
+application, creates an application context, picks the lowest offered
+cipher suite, and binds a key; afterwards it encrypts request bodies,
+invokes the remote instance, and decrypts responses, rolling keys per the
+refresh policy. Establishment is single-flight per route, so a burst of
+first requests costs exactly one context and one key.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
 
 from . import channel
 from .clock import Clock
@@ -38,7 +37,6 @@ from .transport import (
     WireResponse,
     error_response,
     json_response,
-    raise_for_status,
 )
 from .wire import decode_error
 
@@ -62,7 +60,6 @@ class Gateway:
     def __init__(self, *, bindings: list[RouteBinding], transport: Transport,
                  lcmp_url: str, kme, key_store: KeyStore,
                  policy: channel.RefreshPolicy, clock: Clock,
-                 registry: dict[int, channel.CipherSuite] | None = None,
                  offered_suites: tuple[int, ...] = (1,),
                  sae_id: str = "sae-client", server_sae: str = "sae-mec",
                  auth_token: str | None = None,
@@ -74,7 +71,6 @@ class Gateway:
         self._store = key_store
         self._policy = policy
         self._clock = clock
-        self._registry = registry if registry is not None else channel.default_registry()
         self._offered = tuple(offered_suites)
         self._sae = sae_id
         self._server_sae = server_sae
@@ -102,33 +98,15 @@ class Gateway:
         binding.endpoint_uri = str(doc["endpoint_uri"])
         return doc
 
-    def _host_base(self, endpoint_uri: str) -> str:
-        parts = urlsplit(endpoint_uri)
-        return f"{parts.scheme}://{parts.netloc}"
-
-    def _hello(self, base: str, offered) -> int:
-        response = self._transport.request(
-            src=self._component, channel="handshake", method="POST",
-            url=base + "/sae/v1/hello",
-            body=channel.encode_client_hello(self._sae, list(offered)),
-            headers={"content-type": "application/json"},
-        )
-        raise_for_status(response)
-        return channel.decode_server_hello(response.body)
-
     def _ensure_ready(self, binding: RouteBinding) -> None:
         with binding.lock:
             if binding.context_id is None:
                 self.init_app(binding)
             if binding.plaintext or binding.security is not None:
                 return
-            assert binding.endpoint_uri is not None
-            base = self._host_base(binding.endpoint_uri)
             binding.security = channel.establish_context(
                 self._sae, self._server_sae, self._offered, self._kme, self._store,
                 self._policy, clock=self._clock,
-                hello=lambda offered: self._hello(base, offered),
-                registry=self._registry,
             )
 
     def _purge_binding(self, binding: RouteBinding) -> None:
@@ -200,8 +178,7 @@ class Gateway:
         )
         if response.headers.get("x-envelope") == "1":
             reply = channel.EncryptedEnvelope.from_bytes(response.body)
-            plaintext = channel.decrypt(reply, self._store, response=True,
-                                        registry=self._registry)
+            plaintext = channel.decrypt(reply, self._store, response=True)
             if response.status == 200:
                 return WireResponse(status=200,
                                     headers={"content-type": "application/octet-stream"},

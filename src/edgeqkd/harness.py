@@ -221,8 +221,10 @@ class ScenarioConfig:
             raise InvalidConfigError(f"unknown transport mode {transport_mode!r}")
 
         offered = tuple(int(s) for s in doc.get("offered_suites", (1,)))
-        if not offered:
-            raise InvalidConfigError("offered_suites must not be empty")
+        if not set(offered) & set(channel.SUITES):
+            raise InvalidConfigError(
+                f"offered_suites {list(offered)} names no known suite {sorted(channel.SUITES)}"
+            )
 
         a_doc = doc.get("assertions", {})
         forbidden = [s.encode("utf-8") for s in a_doc.get("forbidden_plaintexts", ())]
@@ -291,7 +293,6 @@ class Stack:
                       + [h.host_id for h in config.hosts]}
 
         catalog = Catalog(config.catalog)
-        registry = channel.default_registry()
 
         hosts: dict[str, MecHost] = {}
         for host_seed in config.hosts:
@@ -302,7 +303,7 @@ class Stack:
                 base_url=url_of[host_seed.host_id], sae_id=SLAVE_SAE,
                 kme=host_kme, key_store=KeyStore(clock, config.policy.max_age_sec),
                 clock=clock, transport=transport, master_sae=MASTER_SAE,
-                registry=registry, handlers=BUILTIN_HANDLERS,
+                handlers=BUILTIN_HANDLERS,
             )
 
         commanders = {
@@ -324,7 +325,7 @@ class Stack:
         gateway = Gateway(
             bindings=bindings, transport=transport, lcmp_url=url_of["lcmp"],
             kme=gateway_kme, key_store=client_store, policy=config.policy,
-            clock=clock, registry=registry, offered_suites=config.offered_suites,
+            clock=clock, offered_suites=config.offered_suites,
             sae_id=MASTER_SAE, server_sae=SLAVE_SAE, auth_token=config.auth_token,
         )
 

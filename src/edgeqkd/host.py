@@ -20,7 +20,6 @@ from . import channel
 from .clock import Clock
 from .errors import (
     AlreadyConsumedError,
-    BadLengthError,
     CapacityExhaustedError,
     ContextDeletedError,
     EdgeQkdError,
@@ -67,10 +66,7 @@ BUILTIN_HANDLERS: dict[str, Handler] = {
 class MecAppInstance:
     app_doc: dict
     uri: str
-    path: str  # instance segment under /apps/
     handler: Handler
-    sae_id: str
-    shareable: bool
     chain_uri: str | None = None
     active_contexts: set[str] = field(default_factory=set)
 
@@ -87,7 +83,6 @@ class MecHost:
     def __init__(self, host_id: str, total_slots: int, *, base_url: str,
                  sae_id: str, kme, key_store: KeyStore, clock: Clock,
                  transport: Transport, master_sae: str = "sae-client",
-                 registry: Mapping[int, channel.CipherSuite] | None = None,
                  handlers: Mapping[str, Handler] | None = None) -> None:
         self.host_id = host_id
         self.total_slots = total_slots
@@ -98,7 +93,6 @@ class MecHost:
         self._store = key_store
         self._clock = clock
         self._transport = transport
-        self._registry = dict(registry) if registry is not None else channel.default_registry()
         self._handlers = dict(handlers) if handlers is not None else dict(BUILTIN_HANDLERS)
         self._instances: dict[str, MecAppInstance] = {}  # by path segment
         self._seq = 0
@@ -114,7 +108,7 @@ class MecHost:
         with self._lock:
             return sum(int(i.app_doc.get("required_slots", 1)) for i in self._instances.values())
 
-    def deploy(self, app_doc: dict, handler_name: str, shareable: bool,
+    def deploy(self, app_doc: dict, handler_name: str,
                chain_uri: str | None) -> MecAppInstance:
         handler = self._handlers.get(handler_name)
         if handler is None:
@@ -127,8 +121,7 @@ class MecHost:
             segment = f"{app_doc.get('app_name', 'app')}-{self._seq}"
             instance = MecAppInstance(
                 app_doc=dict(app_doc), uri=f"{self.base_url}/apps/{segment}",
-                path=segment, handler=handler, sae_id=self.sae_id,
-                shareable=shareable, chain_uri=chain_uri,
+                handler=handler, chain_uri=chain_uri,
             )
             self._instances[segment] = instance
             return instance
@@ -203,7 +196,7 @@ class MecHost:
             # consumption state is internal to the key plane; callers only
             # learn that the key cannot be obtained
             raise UnknownKeyIdError(str(exc)) from exc
-        plaintext = channel.decrypt(envelope, self._store, registry=self._registry)
+        plaintext = channel.decrypt(envelope, self._store)
         try:
             result = instance.handler(plaintext)
             if instance.chain_uri is not None:
@@ -211,16 +204,14 @@ class MecHost:
         except Exception as exc:
             # whatever went wrong mid-execution, the detail leaves sealed only
             payload = dumps({"error": str(exc), "code": "handler-error"})
-            sealed = channel.encrypt_response(envelope, payload, self._store,
-                                              self.sae_id, registry=self._registry)
+            sealed = channel.encrypt_response(envelope, payload, self._store, self.sae_id)
             return WireResponse(
                 status=500,
                 headers={"content-type": "application/json", "x-envelope": "1",
                          "x-error-code": "handler-error"},
                 body=sealed.to_bytes(),
             )
-        sealed = channel.encrypt_response(envelope, result, self._store,
-                                          self.sae_id, registry=self._registry)
+        sealed = channel.encrypt_response(envelope, result, self._store, self.sae_id)
         return WireResponse(
             status=200,
             headers={"content-type": "application/json", "x-envelope": "1"},
@@ -245,7 +236,6 @@ class MecHost:
         router.add("POST", "/mgmt/v1/undeploy", self._w_undeploy)
         router.add("POST", "/mgmt/v1/attach", self._w_attach)
         router.add("POST", "/mgmt/v1/detach", self._w_detach)
-        router.add("POST", "/sae/v1/hello", self._w_hello)
         router.add("POST", "/apps/{segment}/invoke", self._w_invoke)
         router.add("POST", "/apps/{segment}/invoke_plain", self._w_invoke_plain)
         router.add("GET", "/apps/{segment}/healthz", self._w_healthz)
@@ -256,8 +246,7 @@ class MecHost:
         if not isinstance(doc, dict) or not isinstance(doc.get("app"), dict):
             raise MalformedError("deploy body must carry an app object")
         handler_name = str(doc.get("handler", doc["app"].get("app_name", "")))
-        instance = self.deploy(doc["app"], handler_name,
-                               bool(doc.get("shareable", True)), doc.get("chain_uri"))
+        instance = self.deploy(doc["app"], handler_name, doc.get("chain_uri"))
         return json_response(200, {"uri": instance.uri})
 
     def _w_undeploy(self, request: WireRequest):
@@ -274,14 +263,6 @@ class MecHost:
         doc = loads(request.body)
         self.detach_context(str(doc.get("uri", "")), str(doc.get("context_id", "")))
         return json_response(200, {})
-
-    def _w_hello(self, request: WireRequest):
-        _, offered = channel.decode_client_hello(request.body)
-        if not offered:
-            raise BadLengthError("client hello offered no cipher suites")
-        selected = channel.negotiate(offered, sorted(self._registry))
-        return WireResponse(status=200, headers={"content-type": "application/json"},
-                            body=channel.encode_server_hello(selected))
 
     def _w_invoke(self, request: WireRequest, segment: str):
         with self._lock:

@@ -16,7 +16,8 @@ from .clock import Clock
 from .errors import PeerUnreachableError
 from .transport import Router, Transcript, Transport, WireRequest, WireResponse, _render_query
 
-_HOP_HEADERS = {"content-length", "host", "connection", "accept-encoding", "user-agent"}
+_HOP_HEADERS = {"content-length", "host", "connection", "accept-encoding", "user-agent",
+                "date", "server"}
 
 
 class ComponentHttpServer:

@@ -31,7 +31,7 @@ from .errors import (
     UnknownPeerError,
     WrongPeerError,
 )
-from .transport import Router, Transport, WireRequest, json_response, raise_for_status
+from .transport import Router, Transport, WireRequest, WireResponse, raise_for_status
 from .wire import (
     decode_key_container,
     decode_status,
@@ -52,10 +52,8 @@ SLAVE = "slave"
 class KeyRecord:
     key_id: str
     key_bits: bytes | None  # purged (None) once the slave side has consumed it
-    key_length: int
     master_sae: str
     slave_sae: str
-    dispensed_at: float
     slave_consumed: bool = False
 
 
@@ -139,7 +137,7 @@ class KmePair:
     """Shared state of the two entities terminating one link."""
 
     def __init__(self, pool: EntropyPool, master_sae: str, slave_sae: str, *,
-                 clock: Clock, seed: bytes | None,
+                 seed: bytes | None,
                  default_key_length: int = DEFAULT_KEY_LENGTH,
                  max_key_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST) -> None:
         self.pool = pool
@@ -147,7 +145,6 @@ class KmePair:
         self.slave_sae = slave_sae
         self.default_key_length = default_key_length
         self.max_key_per_request = max_key_per_request
-        self._clock = clock
         self._ids = make_stream(seed, "qkd-key-id")
         self._records: dict[str, KeyRecord] = {}
         self._lock = threading.RLock()
@@ -170,14 +167,12 @@ class KmePair:
             # all-or-nothing: budget checked for the whole batch up front
             self.pool.require(count * key_length)
             out: list[tuple[str, bytes]] = []
-            now = self._clock.now()
             for _ in range(count):
                 key = self.pool.draw(key_length)
                 key_id = uuid4_from(self._ids)
                 self._records[key_id] = KeyRecord(
-                    key_id=key_id, key_bits=key, key_length=key_length,
+                    key_id=key_id, key_bits=key,
                     master_sae=self.master_sae, slave_sae=self.slave_sae,
-                    dispensed_at=now,
                 )
                 out.append((key_id, key))
                 self.dispensed_keys += 1
@@ -286,9 +281,8 @@ def new_kme_pair(seed: bytes | None, rate_bits_per_sec: int, capacity_bits: int,
                  max_key_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST,
                  ) -> tuple[KmeHandle, KmeHandle]:
     """Create both ends of a link sharing one full pool. Roles are fixed for life."""
-    clock = clock or SystemClock()
     pool = EntropyPool(seed, rate_bits_per_sec, capacity_bits, clock)
-    pair = KmePair(pool, master_sae, slave_sae, clock=clock, seed=seed,
+    pair = KmePair(pool, master_sae, slave_sae, seed=seed,
                    default_key_length=default_key_length,
                    max_key_per_request=max_key_per_request)
     return KmeHandle(pair, MASTER), KmeHandle(pair, SLAVE)
@@ -297,6 +291,10 @@ def new_kme_pair(seed: bytes | None, rate_bits_per_sec: int, capacity_bits: int,
 # ---------------------------------------------------------------------------
 # REST surface (server and application-side client)
 # ---------------------------------------------------------------------------
+
+def _json_ok(body: bytes) -> WireResponse:
+    return WireResponse(status=200, headers={"content-type": "application/json"}, body=body)
+
 
 class KmeApi:
     """REST routes for one entity, served on behalf of its local application entity.
@@ -323,7 +321,7 @@ class KmeApi:
             except ValueError:
                 raise BadLengthError(f"bad size {request.query['size']!r}")
         status = self._handle.get_status(peer, key_length)
-        return json_response(200, loads(encode_status(status.to_doc())))
+        return _json_ok(encode_status(status.to_doc()))
 
     def _enc_keys(self, request: WireRequest, peer: str):
         doc = loads(request.body) if request.body else {}
@@ -334,7 +332,7 @@ class KmeApi:
         if not isinstance(number, int) or not isinstance(size, int):
             raise BadLengthError("number and size must be integers")
         keys = self._handle.get_enc_keys(self._handle.local_sae, peer, size, number)
-        return json_response(200, loads(encode_key_container(keys)))
+        return _json_ok(encode_key_container(keys))
 
     def _dec_keys(self, request: WireRequest, peer: str):
         doc = loads(request.body) if request.body else {}
@@ -347,7 +345,7 @@ class KmeApi:
                 raise BadLengthError("key_IDs entries must be objects with key_ID")
             key_ids.append(str(item["key_ID"]))
         keys = self._handle.get_dec_keys(self._handle.local_sae, peer, key_ids)
-        return json_response(200, loads(encode_key_container(keys)))
+        return _json_ok(encode_key_container(keys))
 
 
 class KmeClient:

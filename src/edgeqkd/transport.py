@@ -13,7 +13,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl, urlencode, urlsplit
 
 from .clock import Clock, SystemClock
 from .errors import EdgeQkdError, NotFoundError, PeerUnreachableError, error_for_code
@@ -102,7 +102,7 @@ class Router:
 def _render_query(query: Mapping[str, str]) -> str:
     if not query:
         return ""
-    return "?" + "&".join(f"{k}={v}" for k, v in sorted(query.items()))
+    return "?" + urlencode(sorted(query.items()))
 
 
 def frame(first_line: str, headers: Mapping[str, str], body: bytes) -> bytes:

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeqkd.channel import (
-    CipherSuite,
     EncryptedEnvelope,
     MODE_OTP,
     RefreshPolicy,
     decrypt,
-    default_registry,
     encrypt,
     encrypt_response,
     establish_context,
@@ -33,10 +31,9 @@ from edgeqkd.kme import LocalKmeClient, new_kme_pair
 SEED = b"\x24" * 32
 
 
-def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,), registry=None):
+def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,)):
     """Client-side fixtures plus the server-side store/kme for manual decrypts."""
     master, slave = new_kme_pair(SEED, rate, cap, clock=clock)
-    registry = registry or default_registry()
     client_kme = LocalKmeClient(master)
     server_kme = LocalKmeClient(slave)
     client_store = KeyStore(clock, 3600)
@@ -44,8 +41,7 @@ def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,), registry=No
     policy = policy or RefreshPolicy(max_uses=10, max_age_sec=3600)
     ctx = establish_context(
         "sae-client", "sae-mec", list(offered), client_kme, client_store, policy,
-        clock=clock, hello=lambda off: negotiate(off, sorted(registry)),
-        registry=registry,
+        clock=clock,
     )
     return ctx, client_kme, client_store, server_kme, server_store, master, slave
 
@@ -98,7 +94,6 @@ def test_establish_exhausted_pool(sim_clock):
         establish_context(
             "sae-client", "sae-mec", [1], LocalKmeClient(master),
             KeyStore(sim_clock, 3600), RefreshPolicy(1, 3600), clock=sim_clock,
-            hello=lambda off: 1,
         )
 
 
@@ -109,8 +104,7 @@ def test_sequential_establishes_use_distinct_keys(sim_clock):
     ids = set()
     for _ in range(2):
         ctx = establish_context("sae-client", "sae-mec", [1], kme, store,
-                                RefreshPolicy(10, 3600), clock=sim_clock,
-                                hello=lambda off: 1)
+                                RefreshPolicy(10, 3600), clock=sim_clock)
         ids.add(ctx.current_key_id)
     assert len(ids) == 2
 
@@ -163,31 +157,20 @@ def test_age_based_refresh(sim_clock):
 
 
 def test_otp_xor_definition(sim_clock):
-    # 40-bit message and 40-bit pad: ciphertext is exactly plaintext XOR pad
-    registry = {7: CipherSuite(suite_id=7, name="pad40", key_length=40, mode=MODE_OTP)}
-    master, _ = new_kme_pair(SEED, 0, 4096, clock=sim_clock)
-    kme = LocalKmeClient(master)
-    store = KeyStore(sim_clock, 3600)
-    ctx = establish_context("sae-client", "sae-mec", [7], kme, store,
-                            RefreshPolicy(5, 3600), clock=sim_clock,
-                            hello=lambda off: 7, registry=registry)
-    plaintext = b"\x12\x34\x56\x78\x9a"
+    # 256-byte message and 256-byte pad: ciphertext is exactly plaintext XOR pad
+    ctx, kme, store, *_ = make_side(sim_clock, offered=(2,))
+    plaintext = bytes(range(256))
     envelope = encrypt(ctx, plaintext, store, kme, clock=sim_clock)
     pad = store.get(ctx.current_key_id).key_bits
+    assert len(pad) == 256
     assert envelope.ciphertext == bytes(p ^ k for p, k in zip(plaintext, pad))
-    assert decrypt(envelope, store, registry=registry) == plaintext
+    assert decrypt(envelope, store) == plaintext
 
 
 def test_otp_message_too_long(sim_clock):
-    registry = {7: CipherSuite(suite_id=7, name="pad40", key_length=40, mode=MODE_OTP)}
-    master, _ = new_kme_pair(SEED, 0, 4096, clock=sim_clock)
-    kme = LocalKmeClient(master)
-    store = KeyStore(sim_clock, 3600)
-    ctx = establish_context("sae-client", "sae-mec", [7], kme, store,
-                            RefreshPolicy(5, 3600), clock=sim_clock,
-                            hello=lambda off: 7, registry=registry)
+    ctx, kme, store, *_ = make_side(sim_clock, offered=(2,))
     with pytest.raises(MessageTooLongError):
-        encrypt(ctx, b"six bytes!", store, kme, clock=sim_clock)
+        encrypt(ctx, bytes(257), store, kme, clock=sim_clock)
 
 
 def test_otp_reply_shares_no_pad_bits(sim_clock):
@@ -215,8 +198,7 @@ def test_envelope_of_other_context(sim_clock):
     """A mismatched key id fails closed in every cache state."""
     ctx_a, kme, client_store, server_kme, server_store, *_ = make_side(sim_clock)
     ctx_b = establish_context("sae-client", "sae-mec", [1], kme, client_store,
-                              RefreshPolicy(10, 3600), clock=sim_clock,
-                              hello=lambda off: 1)
+                              RefreshPolicy(10, 3600), clock=sim_clock)
     envelope = encrypt(ctx_a, b"addressed to context A!", client_store, kme, clock=sim_clock)
     swapped = EncryptedEnvelope(ctx_b.current_key_id, envelope.suite_id, envelope.nonce,
                                 envelope.ciphertext, envelope.sender_sae)

@@ -57,6 +57,7 @@ def echo_doc(**overrides):
                                    "version": "1.0", "required_slots": 1}),
     lambda d: d["catalog"][0].update(chain_to={"app_name": "fn-echo", "provider": "demo",
                                                "version": "1.0"}),
+    lambda d: d.update(offered_suites=[7, 9]),
 ])
 def test_invalid_configs_rejected(mutate):
     doc = echo_doc()

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from edgeqkd import channel
-from edgeqkd.channel import EncryptedEnvelope, RefreshPolicy, establish_context, negotiate
+from edgeqkd.channel import EncryptedEnvelope, RefreshPolicy, establish_context
 from edgeqkd.clock import SimulatedClock
 from edgeqkd.errors import (
     CapacityExhaustedError,
@@ -41,7 +41,6 @@ def client_side(master, clock, policy=None, suite=1):
     ctx = establish_context(
         "sae-client", "sae-mec", [suite], kme, store,
         policy or RefreshPolicy(10, 3600), clock=clock,
-        hello=lambda off: negotiate(off, [1, 2]),
     )
     return ctx, kme, store
 
@@ -52,24 +51,24 @@ def app_doc(name="fn-echo", slots=1):
 
 def test_deploy_assigns_sequential_uris():
     host, *_ = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", True, None)
+    inst = host.deploy(app_doc(), "fn-echo", None)
     assert inst.uri == "inproc://edge-a/apps/fn-echo-1"
-    inst2 = host.deploy(app_doc(), "fn-echo", True, None)
+    inst2 = host.deploy(app_doc(), "fn-echo", None)
     assert inst2.uri == "inproc://edge-a/apps/fn-echo-2"
     assert host.used_slots == 2
 
 
 def test_deploy_full_host():
     host, *_ = build_host(slots=1)
-    host.deploy(app_doc(), "fn-echo", True, None)
+    host.deploy(app_doc(), "fn-echo", None)
     with pytest.raises(CapacityExhaustedError):
-        host.deploy(app_doc(), "fn-echo", True, None)
+        host.deploy(app_doc(), "fn-echo", None)
 
 
 def test_deploy_unknown_image():
     host, *_ = build_host()
     with pytest.raises(UnknownAppImageError):
-        host.deploy(app_doc("fn-mystery"), "fn-mystery", True, None)
+        host.deploy(app_doc("fn-mystery"), "fn-mystery", None)
 
 
 def invoke(host, transport, inst, envelope, context_id=CTX):
@@ -81,7 +80,7 @@ def invoke(host, transport, inst, envelope, context_id=CTX):
 
 
 def roundtrip(host, master, transport, clock, body, handler="fn-echo", policy=None):
-    inst = host.deploy(app_doc(handler), handler, True, None)
+    inst = host.deploy(app_doc(handler), handler, None)
     host.attach_context(inst.uri, CTX)
     ctx, kme, store = client_side(master, clock, policy=policy)
     envelope = channel.encrypt(ctx, body, store, kme, clock=clock)
@@ -113,7 +112,7 @@ def test_invoke_sum():
 
 def test_handler_error_is_encrypted():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc("fn-sum"), "fn-sum", True, None)
+    inst = host.deploy(app_doc("fn-sum"), "fn-sum", None)
     host.attach_context(inst.uri, CTX)
     ctx, kme, store = client_side(master, clock)
     secret = b"not json, secretly: hunter2-hunter2"
@@ -130,7 +129,7 @@ def test_handler_error_is_encrypted():
 
 def test_invoke_requires_active_context():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", True, None)
+    inst = host.deploy(app_doc(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
     ctx, kme, store = client_side(master, clock)
     envelope = channel.encrypt(ctx, b"x", store, kme, clock=clock)
@@ -157,7 +156,7 @@ def test_invoke_unknown_instance():
 def test_consumed_and_evicted_key_is_unknown():
     clock = SimulatedClock()
     host, master, transport, _ = build_host(clock=clock, max_age=5.0)
-    inst = host.deploy(app_doc(), "fn-echo", True, None)
+    inst = host.deploy(app_doc(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
     ctx, kme, store = client_side(master, clock, policy=RefreshPolicy(100, 1e9))
     first = channel.encrypt(ctx, b"one", store, kme, clock=clock)
@@ -171,7 +170,7 @@ def test_consumed_and_evicted_key_is_unknown():
 
 def test_single_flight_key_fetch():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", True, None)
+    inst = host.deploy(app_doc(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
     ctx, kme, store = client_side(master, clock, policy=RefreshPolicy(100, 1e9))
     envelopes = [channel.encrypt(ctx, b"m%d" % i, store, kme, clock=clock) for i in range(6)]
@@ -197,7 +196,7 @@ def test_single_flight_key_fetch():
 
 def test_key_obtainable_from_exactly_one_place():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", True, None)
+    inst = host.deploy(app_doc(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
     ctx, kme, store = client_side(master, clock)
     envelope = channel.encrypt(ctx, b"x", store, kme, clock=clock)
@@ -211,8 +210,8 @@ def test_key_obtainable_from_exactly_one_place():
 
 def test_chained_hop():
     host, master, transport, clock = build_host()
-    target = host.deploy(app_doc("fn-upper"), "fn-upper", True, None)
-    inst = host.deploy(app_doc("fn-echo"), "fn-echo", True, target.uri)
+    target = host.deploy(app_doc("fn-upper"), "fn-upper", None)
+    inst = host.deploy(app_doc("fn-echo"), "fn-echo", target.uri)
     host.attach_context(inst.uri, CTX)
     ctx, kme, store = client_side(master, clock)
     envelope = channel.encrypt(ctx, b"chained text", store, kme, clock=clock)
@@ -223,7 +222,7 @@ def test_chained_hop():
 
 def test_healthz_and_undeploy():
     host, _, transport, _ = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", True, None)
+    inst = host.deploy(app_doc(), "fn-echo", None)
     response = transport.request(src="gateway", channel="data", method="GET",
                                  url=inst.uri + "/healthz")
     assert response.status == 200

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from edgeqkd.clock import SimulatedClock, SystemClock
@@ -9,7 +11,13 @@ from edgeqkd.errors import AlreadyConsumedError, KeyExhaustedError, UnknownPeerE
 from edgeqkd.harness import ScenarioConfig, Stack, run_scenario
 from edgeqkd.httpd import ComponentHttpServer, HttpTransport
 from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
-from edgeqkd.transport import raise_for_status
+from edgeqkd.transport import (
+    Router,
+    iter_frames,
+    json_response,
+    raise_for_status,
+    record_payload,
+)
 from edgeqkd.wire import dumps, loads
 
 SEED = b"\x77" * 32
@@ -134,3 +142,44 @@ def test_http_transport_unreachable_peer():
     with pytest.raises(PeerUnreachableError):
         transport.request(src="x", channel="qkd", method="GET",
                           url="http://127.0.0.1:9/api/v1/keys/s/status")
+
+
+def test_http_transcripts_are_reproducible():
+    doc = {
+        "qkd": {"seed": SEED.hex(), "rate_bits_per_sec": 1000, "capacity_bits": 4096},
+        "catalog": [{"app_name": "fn-echo", "provider": "demo", "version": "1.0",
+                     "required_slots": 1}],
+        "hosts": [{"host_id": "edge-a", "total_slots": 2}],
+        "bindings": [{"path_prefix": "/echo", "app_name": "fn-echo",
+                      "provider": "demo", "version": "1.0"}],
+        "policy": {"max_uses": 2, "max_age_sec": 3600},
+        "workload": [{"path": "/echo", "body": "same bytes every run", "repeat": 3}],
+        "clock": "simulated",
+        "transport": "http",
+    }
+    runs = []
+    for _ in range(2):
+        result = run_scenario(ScenarioConfig.from_doc(doc))
+        assert result.metrics.requests_ok == 3
+        for _, frame in iter_frames(result.records):
+            if frame.kind == "RSP":
+                assert "date" not in frame.headers and "server" not in frame.headers
+        # only the loopback ports may differ between runs
+        runs.append([{**record, "payload_b64": re.sub(rb"127\.0\.0\.1:\d+", b"127.0.0.1:PORT",
+                                                       record_payload(record))}
+                     for record in result.records])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("value", ["x&b=y", "hello world"])
+def test_http_query_values_are_percent_encoded(value):
+    router = Router()
+    router.add("GET", "/q", lambda request: json_response(200, request.query))
+    server = ComponentHttpServer("echo-query", router).start()
+    try:
+        transport = HttpTransport(clock=SimulatedClock())
+        response = transport.request(src="t", channel="mx2", method="GET",
+                                     url=server.base_url + "/q", query={"a": value})
+        assert loads(raise_for_status(response).body) == {"a": value}
+    finally:
+        server.stop()
