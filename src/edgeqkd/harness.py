@@ -302,7 +302,7 @@ class Stack:
                 host_seed.host_id, host_seed.total_slots,
                 base_url=url_of[host_seed.host_id], sae_id=SLAVE_SAE,
                 kme=host_kme, key_store=KeyStore(clock, config.policy.max_age_sec),
-                clock=clock, transport=transport, master_sae=MASTER_SAE,
+                transport=transport, master_sae=MASTER_SAE,
                 handlers=BUILTIN_HANDLERS,
             )
 
@@ -356,8 +356,14 @@ class Stack:
                                       headers=headers)
 
     def stop(self) -> None:
-        for server in self.servers:
-            server.stop()
+        if isinstance(self.transport, HttpTransport):
+            self.transport.close()
+        # Side by side: each stop waits out its server's 0.5 s poll.
+        threads = [threading.Thread(target=server.stop) for server in self.servers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
 
     def pool_stats(self) -> dict:
         return self.kme_master.pair.stats()

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from . import channel
-from .clock import Clock
 from .errors import (
     AlreadyConsumedError,
     CapacityExhaustedError,
@@ -81,7 +80,7 @@ class _Inflight:
 
 class MecHost:
     def __init__(self, host_id: str, total_slots: int, *, base_url: str,
-                 sae_id: str, kme, key_store: KeyStore, clock: Clock,
+                 sae_id: str, kme, key_store: KeyStore,
                  transport: Transport, master_sae: str = "sae-client",
                  handlers: Mapping[str, Handler] | None = None) -> None:
         self.host_id = host_id
@@ -91,7 +90,6 @@ class MecHost:
         self.master_sae = master_sae
         self._kme = kme
         self._store = key_store
-        self._clock = clock
         self._transport = transport
         self._handlers = dict(handlers) if handlers is not None else dict(BUILTIN_HANDLERS)
         self._instances: dict[str, MecAppInstance] = {}  # by path segment

@@ -184,7 +184,7 @@ def build_control_plane(catalog_entries, host_slots, clock=None):
         host = MecHost(host_id, slots, base_url=f"inproc://{host_id}", sae_id="sae-mec",
                        kme=KmeClient(transport, src=host_id, base_url="inproc://kme-mec",
                                      channel="qkd"),
-                       key_store=KeyStore(clock, 3600), clock=clock, transport=transport)
+                       key_store=KeyStore(clock, 3600), transport=transport)
         transport.register(host_id, host.router())
         hosts[host_id] = host
     catalog = Catalog(catalog_entries)

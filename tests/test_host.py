@@ -30,7 +30,7 @@ def build_host(clock=None, slots=4, max_age=3600.0):
     host = MecHost("edge-a", slots, base_url="inproc://edge-a", sae_id="sae-mec",
                    kme=KmeClient(transport, src="edge-a", base_url="inproc://kme-mec",
                                  channel="qkd"),
-                   key_store=KeyStore(clock, max_age), clock=clock, transport=transport)
+                   key_store=KeyStore(clock, max_age), transport=transport)
     transport.register("edge-a", host.router())
     return host, master, transport, clock
 

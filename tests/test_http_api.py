@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import re
+import sys
+import threading
 
 import pytest
 
@@ -31,6 +34,7 @@ def kme_servers():
     s_slave = ComponentHttpServer("kme-mec", KmeApi(slave).router()).start()
     transport = HttpTransport(clock=clock)
     yield master, slave, s_master, s_slave, transport
+    transport.close()
     s_master.stop()
     s_slave.stop()
 
@@ -176,10 +180,126 @@ def test_http_query_values_are_percent_encoded(value):
     router = Router()
     router.add("GET", "/q", lambda request: json_response(200, request.query))
     server = ComponentHttpServer("echo-query", router).start()
+    transport = HttpTransport(clock=SimulatedClock())
     try:
-        transport = HttpTransport(clock=SimulatedClock())
         response = transport.request(src="t", channel="mx2", method="GET",
                                      url=server.base_url + "/q", query={"a": value})
         assert loads(raise_for_status(response).body) == {"a": value}
     finally:
+        transport.close()
         server.stop()
+
+
+def _http_doc(workload, clock="simulated"):
+    return {
+        "qkd": {"seed": SEED.hex(), "rate_bits_per_sec": 0, "capacity_bits": 1 << 20},
+        "catalog": [
+            {"app_name": "fn-echo", "provider": "demo", "version": "1.0", "required_slots": 1},
+            {"app_name": "fn-upper", "provider": "demo", "version": "1.0", "required_slots": 1},
+        ],
+        "hosts": [{"host_id": "edge-a", "total_slots": 2}, {"host_id": "edge-b", "total_slots": 2}],
+        "bindings": [
+            {"path_prefix": "/echo", "app_name": "fn-echo", "provider": "demo", "version": "1.0"},
+            {"path_prefix": "/upper", "app_name": "fn-upper", "provider": "demo", "version": "1.0"},
+        ],
+        "policy": {"max_uses": 5, "max_age_sec": 3600},
+        "workload": workload,
+        "clock": clock,
+        "transport": "http",
+    }
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Counts the TCP connections every HTTPConnection opens."""
+    opened = []
+    connect = http.client.HTTPConnection.connect
+
+    def counted(self):
+        opened.append(self.host)
+        return connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counted)
+    return opened
+
+
+def _new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+def test_serial_requests_reuse_one_connection_per_authority(connects):
+    stack = Stack.build(ScenarioConfig.from_doc(_http_doc([])))
+    try:
+        for i in range(30):
+            path, body = ("/echo", b"ping") if i % 2 else ("/upper", b"pong")
+            response = stack.client_request(path, body)
+            assert response.status == 200
+            assert response.body == (b"ping" if i % 2 else b"PONG")
+    finally:
+        stack.stop()
+    assert 0 < len(connects) <= len(stack.servers)
+
+
+def test_stale_pooled_connection_is_replaced_once(connects):
+    calls = []
+    router = Router()
+    router.add("GET", "/n", lambda request: (calls.append(1), json_response(200, len(calls)))[1])
+    server = ComponentHttpServer("stale", router).start()
+    transport = HttpTransport(clock=SimulatedClock())
+    before = threading.enumerate()
+    try:
+        assert transport.request(src="t", channel="mx2", method="GET",
+                                 url=server.base_url + "/n").status == 200
+        handlers = _new_threads(before)
+        # the server closes the idle connection the transport has pooled
+        server._server.end_connections()
+        for thread in handlers:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        response = transport.request(src="t", channel="mx2", method="GET",
+                                     url=server.base_url + "/n")
+        assert loads(raise_for_status(response).body) == 2
+    finally:
+        transport.close()
+        server.stop()
+    assert len(connects) == 2
+    assert len(calls) == 2
+    frames = [frame.kind for _, frame in iter_frames(transport.transcript.records())]
+    assert frames == ["REQ", "RSP", "REQ", "RSP"]
+
+
+def test_stop_leaves_no_thread_behind_a_pooled_connection():
+    before = threading.enumerate()
+    server = ComponentHttpServer("linger", Router()).start()
+    transport = HttpTransport(clock=SimulatedClock())
+    assert transport.request(src="t", channel="mx2", method="GET",
+                             url=server.base_url + "/healthz").status == 404
+    started = _new_threads(before)
+    assert any(t.name == "httpd-linger" for t in started) and len(started) >= 2
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+    for thread in started:
+        thread.join(timeout=2)
+    assert not [t.name for t in started if t.is_alive()]
+    transport.close()
+
+
+def test_concurrent_lanes_share_one_transport():
+    doc = _http_doc([
+        {"path": "/echo", "body": "concurrent lanes one pool", "repeat": 8, "concurrency": 2},
+        {"path": "/upper", "body": "other route same pool", "repeat": 8, "concurrency": 2},
+    ], clock="real")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = run_scenario(ScenarioConfig.from_doc(doc))
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.metrics.requests_total == 32
+    assert result.metrics.requests_ok == result.metrics.requests_total
+    statuses = [frame.status for record, frame in iter_frames(result.records)
+                if record["channel"] == "client" and frame.kind == "RSP"]
+    assert statuses == [200] * 32
+    assert result.wiretap.passed
