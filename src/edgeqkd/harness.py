@@ -33,9 +33,9 @@ from .kme import KmeApi, KmeClient, new_kme_pair
 from .transport import (
     INTER_DOMAIN_CHANNELS,
     InprocTransport,
+    Record,
     Transcript,
     iter_frames,
-    record_payload,
 )
 from .wire import b64decode, decode_error, decode_key_container, dumps
 
@@ -397,7 +397,7 @@ class RunMetrics:
         }
 
 
-def compute_metrics(records: Sequence[Mapping[str, Any]],
+def compute_metrics(records: Sequence[Record],
                     latencies: Sequence[float] | None = None) -> RunMetrics:
     """Derive run metrics from a transcript.
 
@@ -409,13 +409,13 @@ def compute_metrics(records: Sequence[Mapping[str, Any]],
     pending_client_ts: list[float] = []
     paired_latencies: list[float] = []
     for record, frame in iter_frames(records):
-        chan = record["channel"]
+        chan = record.channel
         if chan == "client":
             if frame.kind == "REQ":
-                pending_client_ts.append(float(record["ts"]))
+                pending_client_ts.append(record.ts)
             else:
                 if pending_client_ts:
-                    paired_latencies.append(float(record["ts"]) - pending_client_ts.pop(0))
+                    paired_latencies.append(record.ts - pending_client_ts.pop(0))
                 metrics.requests_total += 1
                 if frame.status == 200:
                     metrics.requests_ok += 1
@@ -471,22 +471,22 @@ class WiretapReport:
         }
 
 
-def wiretap_assert(records: Sequence[Mapping[str, Any]],
+def wiretap_assert(records: Sequence[Record],
                    forbidden: Sequence[bytes]) -> WiretapReport:
     """Fail iff any forbidden byte string occurs in an inter-domain payload."""
     findings: list[WiretapFinding] = []
     scanned = 0
     needles = [n for n in forbidden if n]
     for index, record in enumerate(records):
-        if record["channel"] not in INTER_DOMAIN_CHANNELS:
+        if record.channel not in INTER_DOMAIN_CHANNELS:
             continue
         scanned += 1
-        payload = record_payload(record)
+        payload = record.payload
         for needle in needles:
             if needle in payload:
                 findings.append(WiretapFinding(
-                    record_index=index, channel=record["channel"],
-                    src=record["from"], dst=record["to"],
+                    record_index=index, channel=record.channel,
+                    src=record.src, dst=record.dst,
                     needle_preview=repr(needle[:24]),
                 ))
     return WiretapReport(passed=not findings, findings=tuple(findings),
@@ -544,7 +544,7 @@ def _drive_workload(stack: Stack, config: ScenarioConfig) -> list[float]:
 class RunResult:
     config: ScenarioConfig
     metrics: RunMetrics
-    records: list[dict]
+    records: list[Record]
     wiretap: WiretapReport
     pool_stats: dict
 
@@ -553,7 +553,7 @@ class RunResult:
         return self.wiretap.passed
 
     def transcript_ndjson(self) -> bytes:
-        return b"".join(dumps(rec) + b"\n" for rec in self.records)
+        return b"".join(dumps(dict(rec)) + b"\n" for rec in self.records)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

@@ -5,6 +5,8 @@ Transport by URL. The in-process transport routes calls directly; the HTTP
 transport (see httpd) does the same over real sockets. Either way, every
 exchange is recorded in a Transcript as two frames (request and response)
 so scenario metrics and the wiretap can be computed from the record alone.
+Records hold the raw frame bytes; base64 appears only in the NDJSON form
+(`payload_b64`), which is encoded when read and decoded by `parse_ndjson`.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping
 from urllib.parse import parse_qsl, urlencode, urlsplit
 
 from .clock import Clock, SystemClock
-from .errors import EdgeQkdError, NotFoundError, PeerUnreachableError, error_for_code
+from .errors import EdgeQkdError, MalformedError, NotFoundError, PeerUnreachableError, error_for_code
 from .wire import b64decode, b64encode, decode_error, dumps, encode_error
 
 # Channels crossing the client/edge trust boundary; everything a passive
@@ -136,40 +139,77 @@ def parse_frame(payload: bytes) -> Frame:
     return Frame("REQ", None, first[1], first[2] if len(first) > 2 else "", headers, body)
 
 
+_RECORD_KEYS = ("ts", "from", "to", "channel", "payload_b64")
+_RECORD_ATTRS = {"ts": "ts", "from": "src", "to": "dst", "channel": "channel"}
+
+
+class Record(Mapping[str, Any]):
+    """One transcript frame. `payload` holds the raw frame bytes.
+
+    As a mapping the record has the NDJSON keys, in their written order;
+    its `payload_b64` is encoded on each read and never stored.
+    """
+
+    __slots__ = ("_ts", "_src", "_dst", "_channel", "_payload")
+
+    def __init__(self, ts: float, src: str, dst: str, channel: str, payload: bytes) -> None:
+        self._ts = ts
+        self._src = src
+        self._dst = dst
+        self._channel = channel
+        self._payload = payload
+
+    ts = property(attrgetter("_ts"))
+    src = property(attrgetter("_src"))
+    dst = property(attrgetter("_dst"))
+    channel = property(attrgetter("_channel"))
+    payload = property(attrgetter("_payload"))
+
+    def __getitem__(self, key: str) -> Any:
+        if key == "payload_b64":
+            return b64encode(self._payload)
+        return getattr(self, _RECORD_ATTRS[key])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(_RECORD_KEYS)
+
+    def __len__(self) -> int:
+        return len(_RECORD_KEYS)
+
+
 class Transcript:
     """Append-only record of every inter-component message."""
 
     def __init__(self, clock: Clock) -> None:
         self._clock = clock
-        self._records: list[dict[str, Any]] = []
+        self._records: list[Record] = []
         self._lock = threading.Lock()
 
     def append(self, src: str, dst: str, channel: str, payload: bytes) -> None:
-        record = {
-            "ts": self._clock.now(),
-            "from": src,
-            "to": dst,
-            "channel": channel,
-            "payload_b64": b64encode(payload),
-        }
+        record = Record(self._clock.now(), src, dst, channel, payload)
         with self._lock:
             self._records.append(record)
 
-    def records(self) -> list[dict[str, Any]]:
+    def records(self) -> list[Record]:
         with self._lock:
             return list(self._records)
 
     @staticmethod
-    def parse_ndjson(data: bytes) -> list[dict[str, Any]]:
+    def parse_ndjson(data: bytes) -> list[Record]:
+        """Read NDJSON records back; a bad line raises MalformedError naming it."""
         records = []
-        for line in data.splitlines():
-            if line.strip():
-                records.append(json.loads(line))
+        for number, line in enumerate(data.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+                records.append(Record(float(doc["ts"]), doc["from"], doc["to"], doc["channel"],
+                                      b64decode(doc["payload_b64"])))
+            except KeyError as exc:
+                raise MalformedError(f"transcript line {number}: missing key {exc}") from exc
+            except (ValueError, TypeError, MalformedError) as exc:
+                raise MalformedError(f"transcript line {number}: {exc}") from exc
         return records
-
-
-def record_payload(record: Mapping[str, Any]) -> bytes:
-    return b64decode(record["payload_b64"])
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +291,6 @@ def raise_for_status(response: WireResponse) -> WireResponse:
     raise error_for_code(code, message, retry_after=retry_after)
 
 
-def iter_frames(records: Iterable[Mapping[str, Any]]) -> Iterable[tuple[Mapping[str, Any], Frame]]:
+def iter_frames(records: Iterable[Record]) -> Iterable[tuple[Record, Frame]]:
     for record in records:
-        yield record, parse_frame(record_payload(record))
+        yield record, parse_frame(record.payload)

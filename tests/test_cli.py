@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from edgeqkd.cli import main
 
 SEED_HEX = "ee" * 32
@@ -84,6 +86,23 @@ def test_report_recomputes_metrics(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["requests_ok"] == 4
     assert doc["qkd_keys_consumed"] == 2
+
+
+@pytest.mark.parametrize("bad_line", [
+    b'{"ts":0.0,"from":"client","to":"gateway","chan',
+    b'{"ts":0.0,"from":"client","to":"gateway","channel":"client"}',
+    b'{"ts":0.0,"from":"client","to":"gateway","channel":"client","payload_b64":"*not base64*"}',
+], ids=["truncated-json", "missing-key", "bad-base64"])
+def test_report_rejects_malformed_transcript_line(tmp_path, capsys, bad_line):
+    config = write_config(tmp_path)
+    transcript_out = tmp_path / "t.ndjson"
+    main(["run", str(config), "--metrics-out", str(tmp_path / "m.json"),
+          "--transcript-out", str(transcript_out)])
+    good = transcript_out.read_bytes().splitlines(keepends=True)
+    transcript_out.write_bytes(b"".join(good[:2]) + bad_line + b"\n" + b"".join(good[2:]))
+    assert main(["report", str(transcript_out)]) == 2
+    err = capsys.readouterr().err
+    assert "error [malformed]" in err and "line 3" in err
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -3,9 +3,13 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from edgeqkd.clock import SimulatedClock
 from edgeqkd.errors import InvalidConfigError
 from edgeqkd.harness import (
+    RunMetrics,
+    RunResult,
     ScenarioConfig,
     compute_metrics,
     run_scenario,
@@ -111,6 +115,45 @@ def test_report_from_stored_transcript_matches():
     assert again.qkd_keys_consumed == live.qkd_keys_consumed
     assert again.qkd_bits_consumed == live.qkd_bits_consumed
     assert again.contexts_created == live.contexts_created
+
+
+def ndjson_of(transcript: Transcript) -> bytes:
+    records = transcript.records()
+    return RunResult(config=ScenarioConfig.from_doc(echo_doc()), metrics=RunMetrics(),
+                     records=records, wiretap=wiretap_assert(records, []),
+                     pool_stats={}).transcript_ndjson()
+
+
+def test_transcript_ndjson_bytes():
+    clock = SimulatedClock()
+    transcript = Transcript(clock)
+    transcript.append("client", "gateway", "client", b"REQ POST /echo\n\nhi")
+    clock.advance(0.25)
+    transcript.append("gateway", "client", "client", b"\x00\xff\n\n")
+    assert ndjson_of(transcript) == (
+        b'{"ts":0.0,"from":"client","to":"gateway","channel":"client",'
+        b'"payload_b64":"UkVRIFBPU1QgL2VjaG8KCmhp"}\n'
+        b'{"ts":0.25,"from":"gateway","to":"client","channel":"client",'
+        b'"payload_b64":"AP8KCg=="}\n'
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(
+    st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from(["client", "data", "qkd", "mx2"]),
+    st.binary(max_size=64) | st.sampled_from([b"", b"\xff\xfe\x80", b"RSP 200\n\n\n\nbody"]),
+), max_size=12))
+def test_transcript_ndjson_round_trip(frames):
+    clock = SimulatedClock()
+    transcript = Transcript(clock)
+    for step, channel, payload in frames:
+        clock.advance(step)
+        transcript.append("src", "dst", channel, payload)
+    original = transcript.records()
+    parsed = Transcript.parse_ndjson(ndjson_of(transcript))
+    assert parsed == original
+    assert [r.payload for r in parsed] == [payload for _, _, payload in frames]
 
 
 def test_reproducibility_same_seed():

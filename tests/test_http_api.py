@@ -19,7 +19,6 @@ from edgeqkd.transport import (
     iter_frames,
     json_response,
     raise_for_status,
-    record_payload,
 )
 from edgeqkd.wire import dumps, loads
 
@@ -170,7 +169,7 @@ def test_http_transcripts_are_reproducible():
                 assert "date" not in frame.headers and "server" not in frame.headers
         # only the loopback ports may differ between runs
         runs.append([{**record, "payload_b64": re.sub(rb"127\.0\.0\.1:\d+", b"127.0.0.1:PORT",
-                                                       record_payload(record))}
+                                                       record.payload)}
                      for record in result.records])
     assert runs[0] == runs[1]
 
