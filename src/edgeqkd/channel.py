@@ -246,53 +246,45 @@ def encrypt(ctx: SecurityContext, plaintext: bytes, key_store: KeyStore, kme, *,
         )
 
 
-def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, kme=None,
-            master_sae: str | None = None, *, response: bool = False) -> bytes:
-    """Open an envelope, fetching-and-caching the key if it is not stored yet.
-
-    With `kme=None` the store is the only key source (used where the caller
-    has already resolved the key, or must never fetch). `response` selects
-    the reply direction (nonce space and pad half).
-    """
+def _stored_key(envelope: EncryptedEnvelope, key_store: KeyStore) -> tuple[CipherSuite, bytes]:
+    """The suite and key an envelope names: the suite is known, the key is
+    stored, and the key was stored under that same suite."""
     suite = SUITES.get(envelope.suite_id)
     if suite is None:
         raise MalformedError(f"unknown cipher suite {envelope.suite_id}")
     try:
         entry = key_store.get(envelope.key_id)
     except NotFoundError:
-        if kme is None or master_sae is None:
-            raise UnknownKeyIdError(f"key {envelope.key_id} not in store")
-        fetched = kme.get_dec_keys(master_sae, [envelope.key_id])
-        _, key_bits = fetched[0]
-        key_store.put(envelope.key_id, key_bits, envelope.suite_id)
-        entry = key_store.get(envelope.key_id)
+        raise UnknownKeyIdError(f"key {envelope.key_id} not in store")
     if entry.suite_id != envelope.suite_id:
         # stops a cached AEAD key from being replayed through the pad path
         raise AuthFailureError("cipher suite does not match the stored key")
+    return suite, entry.key_bits
+
+
+def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, *,
+            response: bool = False) -> bytes:
+    """Open an envelope under its stored key; the caller resolves the key first.
+
+    `response` selects the reply direction (nonce space and pad half).
+    """
+    suite, key_bits = _stored_key(envelope, key_store)
     aad = _aad(envelope.key_id, envelope.suite_id, envelope.sender_sae)
-    return _open(suite, entry.key_bits, envelope.nonce, envelope.ciphertext, aad,
+    return _open(suite, key_bits, envelope.nonce, envelope.ciphertext, aad,
                  response=response)
 
 
 def encrypt_response(request_envelope: EncryptedEnvelope, plaintext: bytes,
                      key_store: KeyStore, sender_sae: str) -> EncryptedEnvelope:
     """Seal a reply under the same key the request used (distinct nonce direction)."""
-    suite = SUITES.get(request_envelope.suite_id)
-    if suite is None:
-        raise MalformedError(f"unknown cipher suite {request_envelope.suite_id}")
-    try:
-        entry = key_store.get(request_envelope.key_id)
-    except NotFoundError:
-        raise UnknownKeyIdError(f"key {request_envelope.key_id} not in store")
-    if entry.suite_id != request_envelope.suite_id:
-        raise AuthFailureError("cipher suite does not match the stored key")
+    suite, key_bits = _stored_key(request_envelope, key_store)
     if suite.mode == MODE_OTP:
         # both directions share one pad; they must not overlap
-        if len(request_envelope.ciphertext) + len(plaintext) > len(entry.key_bits):
+        if len(request_envelope.ciphertext) + len(plaintext) > len(key_bits):
             raise MessageTooLongError("request and reply together exceed the pad")
     nonce = response_nonce(request_envelope.nonce) if suite.mode == MODE_AEAD else b""
     aad = _aad(request_envelope.key_id, request_envelope.suite_id, sender_sae)
-    ciphertext = _seal(suite, entry.key_bits, nonce, plaintext, aad, response=True)
+    ciphertext = _seal(suite, key_bits, nonce, plaintext, aad, response=True)
     return EncryptedEnvelope(
         key_id=request_envelope.key_id, suite_id=request_envelope.suite_id,
         nonce=nonce, ciphertext=ciphertext, sender_sae=sender_sae,

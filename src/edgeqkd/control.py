@@ -27,9 +27,7 @@ from .errors import (
 from .transport import Router, Transport, WireRequest, WireResponse, json_response, raise_for_status
 from .wire import dumps, loads
 
-STATE_CREATING = "creating"
-STATE_ACTIVE = "active"
-STATE_DELETED = "deleted"
+STATE_ACTIVE = "active"  # a context exists only while it is active
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,12 @@ class Catalog:
             out.append(app)
         return out
 
-    def entries(self) -> list[CatalogEntry]:
-        return list(self._entries.values())
-
 
 @dataclass
 class AppContext:
     context_id: str
     app: AppInfo
-    endpoint_uri: str | None
-    state: str
+    endpoint_uri: str
     created_at: float
     callback_uri: str | None = None
 
@@ -127,7 +121,7 @@ class AppContext:
             "context_id": self.context_id,
             "app": self.app.to_doc(),
             "endpoint_uri": self.endpoint_uri,
-            "state": self.state,
+            "state": STATE_ACTIVE,
             "created_at": self.created_at,
             "callback_uri": self.callback_uri,
         }
@@ -214,7 +208,6 @@ class HostCommander:
         doc = {
             "app": entry.app.to_doc(),
             "handler": entry.handler,
-            "shareable": entry.shareable,
             "chain_uri": chain_uri,
         }
         return str(self._post("/mgmt/v1/deploy", doc)["uri"])
@@ -341,10 +334,6 @@ class Lcmp:
         self._contexts: dict[str, AppContext] = {}
         self._lock = threading.RLock()
 
-    def lookup_applications(self, app_name: str | None = None, provider: str | None = None,
-                            version: str | None = None) -> list[AppInfo]:
-        return self._catalog.lookup(app_name, provider, version)
-
     def create_context(self, app_key: tuple[str, str, str],
                        callback_uri: str | None = None) -> AppContext:
         entry = self._catalog.get(app_key)
@@ -352,32 +341,20 @@ class Lcmp:
             raise NotFoundError(f"application {app_key} not offered")
         with self._lock:
             context_id = uuid4_from(self._ids)
-            context = AppContext(
-                context_id=context_id, app=entry.app, endpoint_uri=None,
-                state=STATE_CREATING, created_at=self._clock.now(),
-                callback_uri=callback_uri,
-            )
-            self._contexts[context_id] = context
-        try:
-            uri = self._meo.acquire(entry, context_id)
-        except Exception:
-            with self._lock:
-                del self._contexts[context_id]
-            raise
+        created_at = self._clock.now()
+        uri = self._meo.acquire(entry, context_id)
+        context = AppContext(context_id=context_id, app=entry.app, endpoint_uri=uri,
+                             created_at=created_at, callback_uri=callback_uri)
         with self._lock:
-            context.endpoint_uri = uri
-            context.state = STATE_ACTIVE
+            self._contexts[context_id] = context
         return context
 
     def delete_context(self, context_id: str) -> None:
         with self._lock:
-            context = self._contexts.get(context_id)
-            if context is None or context.state == STATE_DELETED:
-                raise UnknownContextError(f"no active context {context_id}")
-            context.state = STATE_DELETED
-            uri = context.endpoint_uri
-        if uri is not None:
-            self._meo.release(uri, context_id)
+            context = self._contexts.pop(context_id, None)
+        if context is None:
+            raise UnknownContextError(f"no active context {context_id}")
+        self._meo.release(context.endpoint_uri, context_id)
 
     def get_context(self, context_id: str) -> AppContext | None:
         with self._lock:
@@ -393,7 +370,7 @@ class Lcmp:
         return router
 
     def _app_list(self, request: WireRequest):
-        apps = self.lookup_applications(
+        apps = self._catalog.lookup(
             request.query.get("appName"), request.query.get("provider"),
             request.query.get("version"),
         )

@@ -27,7 +27,6 @@ from .errors import (
     NotFoundError,
     UnauthorizedError,
     UnknownContextError,
-    error_for_code,
 )
 from .keystore import KeyStore
 from .transport import (
@@ -37,8 +36,8 @@ from .transport import (
     WireResponse,
     error_response,
     json_response,
+    raise_for_status,
 )
-from .wire import decode_error
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +78,7 @@ class Gateway:
 
     # -- establishment -----------------------------------------------------------
 
-    def _match(self, path: str) -> RouteBinding:
+    def binding_for(self, path: str) -> RouteBinding:
         for binding in self._bindings:
             prefix = binding.path_prefix.rstrip("/")
             if path == prefix or path.startswith(prefix + "/") or path == prefix + "/":
@@ -129,9 +128,6 @@ class Gateway:
                 logger.warning("teardown of %s without an active context", binding.path_prefix)
             self._purge_binding(binding)
 
-    def binding_for(self, path: str) -> RouteBinding:
-        return self._match(path)
-
     # -- request path ------------------------------------------------------------
 
     def handle_request(self, path: str, body: bytes,
@@ -141,7 +137,7 @@ class Gateway:
             if self._auth_token is not None:
                 if headers.get("authorization") != f"Bearer {self._auth_token}":
                     raise UnauthorizedError("missing or invalid bearer token")
-            binding = self._match(path)
+            binding = self.binding_for(path)
             return self._proxy(binding, body)
         except KeyExhaustedError as exc:
             if exc.retry_after is None:
@@ -179,18 +175,11 @@ class Gateway:
         if response.headers.get("x-envelope") == "1":
             reply = channel.EncryptedEnvelope.from_bytes(response.body)
             plaintext = channel.decrypt(reply, self._store, response=True)
-            if response.status == 200:
-                return WireResponse(status=200,
-                                    headers={"content-type": "application/octet-stream"},
-                                    body=plaintext)
-            # sealed handler failure: surface the decrypted error body
-            return WireResponse(status=response.status,
-                                headers={"content-type": "application/json"},
+            # a sealed handler failure surfaces its decrypted JSON error body
+            content_type = "application/octet-stream" if response.status == 200 else "application/json"
+            return WireResponse(status=response.status, headers={"content-type": content_type},
                                 body=plaintext)
-        if response.status >= 400:
-            code, message = decode_error(response.body)
-            raise error_for_code(code, message)
-        return response
+        return raise_for_status(response)
 
     def _invoke_plaintext(self, binding: RouteBinding, body: bytes) -> WireResponse:
         assert binding.endpoint_uri is not None
@@ -199,9 +188,7 @@ class Gateway:
             url=binding.endpoint_uri + "/invoke_plain", body=body,
             headers={"x-app-context-id": binding.context_id or ""},
         )
-        if response.status >= 400:
-            code, message = decode_error(response.body)
-            raise error_for_code(code, message)
+        raise_for_status(response)
         return WireResponse(status=200,
                             headers={"content-type": "application/octet-stream"},
                             body=response.body)
@@ -217,6 +204,3 @@ class Gateway:
         if request.method != "POST":
             return json_response(405, {"message": "only POST is proxied", "code": "no-route"})
         return self.handle_request(request.path, request.body, request.headers)
-
-    def bindings(self) -> list[RouteBinding]:
-        return list(self._bindings)

@@ -139,20 +139,26 @@ class ScenarioConfig:
             if chain_doc:
                 chain_to = (str(chain_doc["app_name"]), str(chain_doc["provider"]),
                             str(chain_doc["version"]))
-                if chain_to == app.key:
-                    raise InvalidConfigError(f"{app.app_name} cannot chain to itself")
             catalog_entries.append(CatalogEntry(
                 app=app,
                 handler=str(app_doc.get("handler", app.app_name)),
                 shareable=bool(app_doc.get("shareable", True)),
                 chain_to=chain_to,
             ))
-        keys = {entry.app.key for entry in catalog_entries}
-        if len(keys) != len(catalog_entries):
+        chains = {entry.app.key: entry.chain_to for entry in catalog_entries}
+        if len(chains) != len(catalog_entries):
             raise InvalidConfigError("duplicate catalog entries")
         for entry in catalog_entries:
-            if entry.chain_to is not None and entry.chain_to not in keys:
-                raise InvalidConfigError(f"{entry.app.app_name} chains to unknown app")
+            # placement deploys the whole chain, so it must end
+            seen = {entry.app.key}
+            hop = entry.chain_to
+            while hop is not None:
+                if hop not in chains:
+                    raise InvalidConfigError(f"{entry.app.app_name} chains to unknown app")
+                if hop in seen:
+                    raise InvalidConfigError(f"{entry.app.app_name} chains into a cycle")
+                seen.add(hop)
+                hop = chains[hop]
 
         hosts = []
         for host_doc in doc.get("hosts", ()):
@@ -180,7 +186,7 @@ class ScenarioConfig:
             if not binding.path_prefix.startswith("/"):
                 raise InvalidConfigError("binding path_prefix must start with /")
             # names must exist; version/provider mismatches surface at discovery time
-            if binding.app_name not in {k[0] for k in keys}:
+            if binding.app_name not in {k[0] for k in chains}:
                 raise InvalidConfigError(
                     f"binding {binding.path_prefix} references unknown app {binding.app_name}"
                 )
@@ -259,7 +265,6 @@ class Stack:
     lcmp: Lcmp
     hosts: dict[str, MecHost]
     kme_master: Any
-    kme_slave: Any
     servers: list[ComponentHttpServer] = field(default_factory=list)
 
     @classmethod
@@ -347,7 +352,7 @@ class Stack:
 
         return cls(config=config, clock=clock, transcript=transcript, transport=transport,
                    gateway=gateway, gateway_url=url_of["gateway"], lcmp=lcmp, hosts=hosts,
-                   kme_master=master, kme_slave=slave, servers=servers)
+                   kme_master=master, servers=servers)
 
     def client_request(self, path: str, body: bytes,
                        headers: Mapping[str, str] | None = None):

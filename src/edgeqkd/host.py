@@ -22,13 +22,14 @@ from .errors import (
     CapacityExhaustedError,
     ContextDeletedError,
     EdgeQkdError,
+    HandlerError,
     MalformedError,
     NotFoundError,
     UnknownAppImageError,
     UnknownKeyIdError,
 )
 from .keystore import KeyStore
-from .transport import Router, Transport, WireRequest, WireResponse, json_response
+from .transport import Router, Transport, WireRequest, WireResponse, error_response, json_response
 from .wire import dumps, loads
 
 Handler = Callable[[bytes], bytes]
@@ -132,19 +133,20 @@ class MecHost:
 
     def attach_context(self, uri: str, context_id: str) -> None:
         with self._lock:
-            self._instance_at(uri).active_contexts.add(context_id)
+            self._instance(self._segment_for(uri)).active_contexts.add(context_id)
 
     def detach_context(self, uri: str, context_id: str) -> None:
         with self._lock:
-            self._instance_at(uri).active_contexts.discard(context_id)
+            self._instance(self._segment_for(uri)).active_contexts.discard(context_id)
 
     def _segment_for(self, uri: str) -> str:
         return uri.rstrip("/").rsplit("/", 1)[-1]
 
-    def _instance_at(self, uri: str) -> MecAppInstance:
-        instance = self._instances.get(self._segment_for(uri))
+    def _instance(self, segment: str) -> MecAppInstance:
+        with self._lock:
+            instance = self._instances.get(segment)
         if instance is None:
-            raise NotFoundError(f"no instance at {uri}")
+            raise NotFoundError(f"no instance {segment!r} on host {self.host_id}")
         return instance
 
     def instances(self) -> list[MecAppInstance]:
@@ -195,26 +197,28 @@ class MecHost:
             # learn that the key cannot be obtained
             raise UnknownKeyIdError(str(exc)) from exc
         plaintext = channel.decrypt(envelope, self._store)
+        headers = {"content-type": "application/json", "x-envelope": "1"}
         try:
-            result = instance.handler(plaintext)
+            status, result = 200, self._run(instance, plaintext)
+        except EdgeQkdError as exc:
+            # whatever went wrong mid-execution, the detail leaves sealed only
+            failure = error_response(HandlerError(exc.message))
+            status, result = failure.status, failure.body
+            headers["x-error-code"] = HandlerError.code
+        sealed = channel.encrypt_response(envelope, result, self._store, self.sae_id)
+        return WireResponse(status=status, headers=headers, body=sealed.to_bytes())
+
+    def _run(self, instance: MecAppInstance, payload: bytes) -> bytes:
+        """Run the instance's handler, then its chained hop if it has one."""
+        try:
+            result = instance.handler(payload)
             if instance.chain_uri is not None:
                 result = self._invoke_chained(instance.chain_uri, result)
+        except EdgeQkdError:
+            raise
         except Exception as exc:
-            # whatever went wrong mid-execution, the detail leaves sealed only
-            payload = dumps({"error": str(exc), "code": "handler-error"})
-            sealed = channel.encrypt_response(envelope, payload, self._store, self.sae_id)
-            return WireResponse(
-                status=500,
-                headers={"content-type": "application/json", "x-envelope": "1",
-                         "x-error-code": "handler-error"},
-                body=sealed.to_bytes(),
-            )
-        sealed = channel.encrypt_response(envelope, result, self._store, self.sae_id)
-        return WireResponse(
-            status=200,
-            headers={"content-type": "application/json", "x-envelope": "1"},
-            body=sealed.to_bytes(),
-        )
+            raise HandlerError(str(exc)) from exc
+        return result
 
     def _invoke_chained(self, chain_uri: str, payload: bytes) -> bytes:
         # second hop stays inside the perimeter, no envelope required
@@ -263,31 +267,15 @@ class MecHost:
         return json_response(200, {})
 
     def _w_invoke(self, request: WireRequest, segment: str):
-        with self._lock:
-            instance = self._instances.get(segment)
-        if instance is None:
-            raise NotFoundError(f"no instance {segment!r} on host {self.host_id}")
+        instance = self._instance(segment)
         envelope = channel.EncryptedEnvelope.from_bytes(request.body)
         return self.invoke(instance, request.headers.get("x-app-context-id"), envelope)
 
     def _w_invoke_plain(self, request: WireRequest, segment: str):
-        with self._lock:
-            instance = self._instances.get(segment)
-        if instance is None:
-            raise NotFoundError(f"no instance {segment!r} on host {self.host_id}")
-        try:
-            result = instance.handler(request.body)
-            if instance.chain_uri is not None:
-                result = self._invoke_chained(instance.chain_uri, result)
-        except EdgeQkdError:
-            raise
-        except Exception as exc:
-            return json_response(500, {"message": str(exc), "code": "handler-error"})
+        result = self._run(self._instance(segment), request.body)
         return WireResponse(status=200, headers={"content-type": "application/octet-stream"},
                             body=result)
 
     def _w_healthz(self, request: WireRequest, segment: str):
-        with self._lock:
-            if segment not in self._instances:
-                raise NotFoundError(f"no instance {segment!r}")
+        self._instance(segment)
         return json_response(200, {"status": "ok"})

@@ -54,23 +54,10 @@ class KeyStore:
                 raise NotFoundError(f"key {key_id} expired")
             return entry
 
-    def discard(self, key_id: str) -> None:
-        with self._lock:
-            self._entries.pop(key_id, None)
-
     def purge(self, key_ids) -> None:
         with self._lock:
             for key_id in key_ids:
                 self._entries.pop(key_id, None)
-
-    def sweep(self) -> int:
-        """Evict every expired entry; returns how many were dropped."""
-        now = self._clock.now()
-        with self._lock:
-            stale = [kid for kid, entry in self._entries.items() if self._expired(entry, now)]
-            for kid in stale:
-                del self._entries[kid]
-            return len(stale)
 
     def __contains__(self, key_id: str) -> bool:
         now = self._clock.now()

@@ -226,10 +226,6 @@ class KmePair:
             record = self._records.get(key_id)
             return record is not None and record.key_bits is not None
 
-    def record_for(self, key_id: str) -> KeyRecord | None:
-        with self._lock:
-            return self._records.get(key_id)
-
     def stats(self) -> dict:
         with self._lock:
             return {
@@ -384,19 +380,3 @@ class KmeClient:
         response = self._request("GET", f"/api/v1/keys/{peer_sae}/status", query=query)
         return decode_status(response.body)
 
-
-class LocalKmeClient:
-    """Same surface as KmeClient but calling a handle directly (no wire)."""
-
-    def __init__(self, handle: KmeHandle, caller_sae: str | None = None) -> None:
-        self._handle = handle
-        self._caller = caller_sae or handle.local_sae
-
-    def get_enc_keys(self, slave_sae: str, *, size: int, number: int = 1) -> list[tuple[str, bytes]]:
-        return self._handle.get_enc_keys(self._caller, slave_sae, size, number)
-
-    def get_dec_keys(self, master_sae: str, key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
-        return self._handle.get_dec_keys(self._caller, master_sae, key_ids)
-
-    def get_status(self, peer_sae: str, *, size: int | None = None) -> dict:
-        return self._handle.get_status(peer_sae, size).to_doc()

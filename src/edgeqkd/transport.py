@@ -24,7 +24,7 @@ from .wire import b64decode, b64encode, decode_error, dumps, encode_error
 
 # Channels crossing the client/edge trust boundary; everything a passive
 # observer between the two domains could see travels on one of these.
-INTER_DOMAIN_CHANNELS = frozenset({"mx2", "handshake", "data"})
+INTER_DOMAIN_CHANNELS = frozenset({"mx2", "data"})
 
 
 @dataclass

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from typing import Sequence
+
 import pytest
+
+from edgeqkd.kme import KmeHandle
 
 # Pass/fail lines registered by the acceptance suite; echoed in the terminal
 # summary so a plain `pytest` run shows one line per criterion.
@@ -26,3 +30,17 @@ def sim_clock():
     from edgeqkd.clock import SimulatedClock
 
     return SimulatedClock()
+
+
+class LocalKmeClient:
+    """The key-fetching surface of KmeClient, calling a handle directly (no wire)."""
+
+    def __init__(self, handle: KmeHandle) -> None:
+        self._handle = handle
+        self._caller = handle.local_sae
+
+    def get_enc_keys(self, slave_sae: str, *, size: int, number: int = 1) -> list[tuple[str, bytes]]:
+        return self._handle.get_enc_keys(self._caller, slave_sae, size, number)
+
+    def get_dec_keys(self, master_sae: str, key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
+        return self._handle.get_dec_keys(self._caller, master_sae, key_ids)

@@ -26,7 +26,9 @@ from edgeqkd.errors import (
     UnknownKeyIdError,
 )
 from edgeqkd.keystore import KeyStore
-from edgeqkd.kme import LocalKmeClient, new_kme_pair
+from edgeqkd.kme import new_kme_pair
+
+from conftest import LocalKmeClient
 
 SEED = b"\x24" * 32
 
@@ -44,6 +46,15 @@ def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,)):
         clock=clock,
     )
     return ctx, client_kme, client_store, server_kme, server_store, master, slave
+
+
+def server_decrypt(envelope, server_store, server_kme):
+    """Open a request as the host does: fetch its key by key_ID once, cache it
+    under the envelope's suite, then decrypt from the store."""
+    if envelope.key_id not in server_store:
+        (_, key_bits), = server_kme.get_dec_keys("sae-client", [envelope.key_id])
+        server_store.put(envelope.key_id, key_bits, envelope.suite_id)
+    return decrypt(envelope, server_store)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +134,7 @@ def test_aead_roundtrip(sim_clock):
     ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
     envelope = encrypt(ctx, b"hello", client_store, None, clock=sim_clock)
     assert b"hello" not in envelope.ciphertext
-    out = decrypt(envelope, server_store, server_kme, "sae-client")
+    out = server_decrypt(envelope, server_store, server_kme)
     assert out == b"hello"
 
 
@@ -131,11 +142,11 @@ def test_server_fetch_is_lazy_and_cached(sim_clock):
     ctx, _, client_store, server_kme, server_store, master, _ = make_side(sim_clock)
     envelope = encrypt(ctx, b"payload", client_store, None, clock=sim_clock)
     assert master.pair.holds_material(ctx.current_key_id)
-    decrypt(envelope, server_store, server_kme, "sae-client")
+    server_decrypt(envelope, server_store, server_kme)
     # consumed from the entity, cached locally for the next envelope
     assert not master.pair.holds_material(ctx.current_key_id)
     envelope2 = encrypt(ctx, b"payload-2", client_store, None, clock=sim_clock)
-    assert decrypt(envelope2, server_store, server_kme, "sae-client") == b"payload-2"
+    assert server_decrypt(envelope2, server_store, server_kme) == b"payload-2"
 
 
 def test_forced_refresh_consumes_two_keys(sim_clock):
@@ -176,7 +187,7 @@ def test_otp_message_too_long(sim_clock):
 def test_otp_reply_shares_no_pad_bits(sim_clock):
     ctx, kme, client_store, server_kme, server_store, *_ = make_side(sim_clock, offered=(2,))
     request = encrypt(ctx, b"ping-ping-ping", client_store, kme, clock=sim_clock)
-    assert decrypt(request, server_store, server_kme, "sae-client") == b"ping-ping-ping"
+    assert server_decrypt(request, server_store, server_kme) == b"ping-ping-ping"
     reply = encrypt_response(request, b"pong-pong", server_store, "sae-mec")
     assert decrypt(reply, client_store, response=True) == b"pong-pong"
     # request pad prefix and reply pad suffix must differ
@@ -191,7 +202,7 @@ def test_tampered_ciphertext_fails_auth(sim_clock):
     bad = EncryptedEnvelope(envelope.key_id, envelope.suite_id, envelope.nonce,
                             bytes(corrupted), envelope.sender_sae)
     with pytest.raises(AuthFailureError):
-        decrypt(bad, server_store, server_kme, "sae-client")
+        server_decrypt(bad, server_store, server_kme)
 
 
 def test_envelope_of_other_context(sim_clock):
@@ -204,21 +215,21 @@ def test_envelope_of_other_context(sim_clock):
                                 envelope.ciphertext, envelope.sender_sae)
     # state 1: key B not cached on the server; the fetch succeeds but the bytes differ
     with pytest.raises((AuthFailureError, UnknownKeyIdError)):
-        decrypt(swapped, server_store, server_kme, "sae-client")
+        server_decrypt(swapped, server_store, server_kme)
     # state 2: key B now cached (fetched above); still must not authenticate
     with pytest.raises((AuthFailureError, UnknownKeyIdError)):
-        decrypt(swapped, server_store, server_kme, "sae-client")
+        server_decrypt(swapped, server_store, server_kme)
     # state 3: no cache, no fetch possible
     empty = KeyStore(sim_clock, 3600)
     with pytest.raises((AuthFailureError, UnknownKeyIdError)):
-        decrypt(swapped, empty, None, None)
+        decrypt(swapped, empty)
 
 
 def test_suite_swap_on_cached_key_fails_closed(sim_clock):
     # rewriting cipher_suite must not route an AEAD key through the pad path
     ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
     envelope = encrypt(ctx, b"downgrade attempt here", client_store, None, clock=sim_clock)
-    decrypt(envelope, server_store, server_kme, "sae-client")  # key now cached
+    server_decrypt(envelope, server_store, server_kme)  # key now cached
     swapped = EncryptedEnvelope(envelope.key_id, 2, b"", envelope.ciphertext,
                                 envelope.sender_sae)
     with pytest.raises(AuthFailureError):
@@ -229,13 +240,13 @@ def test_decrypt_without_source_fails(sim_clock):
     ctx, _, client_store, _, _, *_ = make_side(sim_clock)
     envelope = encrypt(ctx, b"x", client_store, None, clock=sim_clock)
     with pytest.raises(UnknownKeyIdError):
-        decrypt(envelope, KeyStore(sim_clock, 3600), None, None)
+        decrypt(envelope, KeyStore(sim_clock, 3600))
 
 
 def test_response_uses_same_key_distinct_nonce(sim_clock):
     ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
     request = encrypt(ctx, b"question", client_store, None, clock=sim_clock)
-    decrypt(request, server_store, server_kme, "sae-client")
+    server_decrypt(request, server_store, server_kme)
     reply = encrypt_response(request, b"answer", server_store, "sae-mec")
     assert reply.key_id == request.key_id
     assert reply.nonce != request.nonce
@@ -293,7 +304,7 @@ def test_roundtrip_property(plaintext):
     clock = SimulatedClock()
     ctx, _, client_store, server_kme, server_store, *_ = make_side(clock)
     envelope = encrypt(ctx, plaintext, client_store, None, clock=clock)
-    assert decrypt(envelope, server_store, server_kme, "sae-client") == plaintext
+    assert server_decrypt(envelope, server_store, server_kme) == plaintext
 
 
 def test_roundtrip_64k(sim_clock):
@@ -302,7 +313,7 @@ def test_roundtrip_64k(sim_clock):
     ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
     blob = os.urandom(64 * 1024)
     envelope = encrypt(ctx, blob, client_store, None, clock=sim_clock)
-    assert decrypt(envelope, server_store, server_kme, "sae-client") == blob
+    assert server_decrypt(envelope, server_store, server_kme) == blob
 
 
 @settings(max_examples=40, deadline=None)

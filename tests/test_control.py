@@ -201,7 +201,7 @@ ECHO = CatalogEntry(app=app("fn-echo"), handler="fn-echo")
 def test_create_context_happy_path():
     lcmp, meo, hosts, _ = build_control_plane([ECHO], {"edge-a": 2})
     context = lcmp.create_context(ECHO.app.key)
-    assert context.state == "active"
+    assert context.to_doc()["state"] == "active"
     assert context.endpoint_uri.startswith("inproc://edge-a/apps/fn-echo-")
     assert hosts["edge-a"].used_slots == 1
     assert context.context_id in hosts["edge-a"].instances()[0].active_contexts
@@ -225,7 +225,7 @@ def test_delete_context_and_idempotency():
     lcmp, meo, hosts, _ = build_control_plane([ECHO], {"edge-a": 2})
     context = lcmp.create_context(ECHO.app.key)
     lcmp.delete_context(context.context_id)
-    assert lcmp.get_context(context.context_id).state == "deleted"
+    assert lcmp.get_context(context.context_id) is None  # forgotten, not kept as deleted
     assert hosts["edge-a"].used_slots == 0  # idle instance reaped
     with pytest.raises(UnknownContextError):
         lcmp.delete_context(context.context_id)

@@ -62,6 +62,13 @@ def echo_doc(**overrides):
     lambda d: d["catalog"][0].update(chain_to={"app_name": "fn-echo", "provider": "demo",
                                                "version": "1.0"}),
     lambda d: d.update(offered_suites=[7, 9]),
+    # a two-app chain cycle: placement would recurse without end
+    lambda d: d.update(catalog=[
+        {"app_name": "fn-echo", "provider": "demo", "version": "1.0",
+         "chain_to": {"app_name": "fn-upper", "provider": "demo", "version": "1.0"}},
+        {"app_name": "fn-upper", "provider": "demo", "version": "1.0",
+         "chain_to": {"app_name": "fn-echo", "provider": "demo", "version": "1.0"}},
+    ]),
 ])
 def test_invalid_configs_rejected(mutate):
     doc = echo_doc()

@@ -14,9 +14,11 @@ from edgeqkd.errors import (
 )
 from edgeqkd.host import BUILTIN_HANDLERS, MecHost
 from edgeqkd.keystore import KeyStore
-from edgeqkd.kme import KmeApi, KmeClient, LocalKmeClient, new_kme_pair
+from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
 from edgeqkd.transport import InprocTransport, raise_for_status
 from edgeqkd.wire import dumps, loads
+
+from conftest import LocalKmeClient
 
 SEED = b"\x33" * 32
 CTX = "11111111-2222-4333-8444-555555555555"
@@ -125,6 +127,7 @@ def test_handler_error_is_encrypted():
     reply = EncryptedEnvelope.from_bytes(response.body)
     detail = loads(channel.decrypt(reply, store, response=True))
     assert detail["code"] == "handler-error"
+    assert "not JSON" in detail["message"]  # the shape of every other error body
 
 
 def test_invoke_requires_active_context():

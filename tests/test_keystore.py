@@ -51,16 +51,6 @@ def test_reinsert_after_expiry(sim_clock):
 def test_purge_and_discard(store):
     store.put("a", b"1" * 16, 1)
     store.put("b", b"2" * 16, 1)
-    store.discard("a")
+    store.purge(["a"])
     store.purge(["b", "missing"])
     assert len(store) == 0
-
-
-def test_sweep(sim_clock):
-    store = KeyStore(sim_clock, max_age_sec=5)
-    store.put("a", b"1" * 16, 1)
-    sim_clock.advance(3)
-    store.put("b", b"2" * 16, 1)
-    sim_clock.advance(3)
-    assert store.sweep() == 1  # only "a" is past its age
-    assert "b" in store

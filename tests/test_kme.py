@@ -92,8 +92,6 @@ def test_release_is_consume_once_and_purges():
     (kid2, key2), = slave.get_dec_keys("sae-mec", "sae-client", [kid])
     assert (kid2, key2) == (kid, key)
     assert not master.pair.holds_material(kid)
-    record = master.pair.record_for(kid)
-    assert record is not None and record.slave_consumed and record.key_bits is None
     with pytest.raises(AlreadyConsumedError):
         slave.get_dec_keys("sae-mec", "sae-client", [kid])
 
