@@ -5,9 +5,10 @@ lowest suite id it offers that the table knows, fetches one key from its
 key-management entity, and payloads then travel as envelopes carrying
 (key_ID, cipher_suite, nonce, ciphertext) with no plaintext. As in ETSI GS
 QKD 014, no set-up message reaches the server: it fetches the key named by
-the first envelope lazily, and checks on every envelope that the suite is
-known and matches the key. Key identifiers and suite identifiers are not
-secret and travel in the clear.
+the first envelope lazily. A key's length fixes its suite: every suite in
+`SUITES` has its own key length, so on every envelope the server checks that
+the suite is known and that the stored key has that suite's length. Key
+identifiers and suite identifiers are not secret and travel in the clear.
 
 Keys are refreshed per policy: after `max_uses` encryptions or once the
 current key is older than `max_age_sec`, the next encryption fetches a
@@ -93,9 +94,9 @@ class SecurityContext:
     client_sae: str
     server_sae: str
     suite: CipherSuite
-    current_key_id: str
     policy: RefreshPolicy
-    established_at: float  # when the current key was bound
+    current_key_id: str = ""
+    established_at: float = 0.0  # when the current key was bound
     uses: int = 0
     issued_key_ids: list[str] = field(default_factory=list)
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
@@ -165,14 +166,20 @@ def establish_context(client_sae: str, server_sae: str, offered_suites: Sequence
     if suite.mode == MODE_OTP:
         # a pad is never reused, whatever the configured budget says
         policy = replace(policy, max_uses=1)
-    keys = kme.get_enc_keys(server_sae, size=suite.key_length, number=1)
-    key_id, key_bits = keys[0]
-    key_store.put(key_id, key_bits, suite.suite_id)
-    return SecurityContext(
-        client_sae=client_sae, server_sae=server_sae, suite=suite,
-        current_key_id=key_id, policy=policy, established_at=clock.now(),
-        issued_key_ids=[key_id],
-    )
+    ctx = SecurityContext(client_sae=client_sae, server_sae=server_sae, suite=suite,
+                          policy=policy)
+    _roll_over(ctx, kme, key_store, clock.now())
+    return ctx
+
+
+def _roll_over(ctx: SecurityContext, kme, key_store: KeyStore, now: float) -> None:
+    """Fetch one key of the suite's length, store it and make it current."""
+    (key_id, key_bits), = kme.get_enc_keys(ctx.server_sae, size=ctx.suite.key_length, number=1)
+    key_store.put(key_id, key_bits)
+    ctx.current_key_id = key_id
+    ctx.uses = 0
+    ctx.established_at = now
+    ctx.issued_key_ids.append(key_id)
 
 
 def _request_nonce(counter: int) -> bytes:
@@ -228,13 +235,7 @@ def encrypt(ctx: SecurityContext, plaintext: bytes, key_store: KeyStore, kme, *,
     with ctx.lock:
         now = clock.now()
         if should_refresh(ctx, now):
-            keys = kme.get_enc_keys(ctx.server_sae, size=ctx.suite.key_length, number=1)
-            key_id, key_bits = keys[0]
-            key_store.put(key_id, key_bits, ctx.suite.suite_id)
-            ctx.current_key_id = key_id
-            ctx.uses = 0
-            ctx.established_at = now
-            ctx.issued_key_ids.append(key_id)
+            _roll_over(ctx, kme, key_store, now)
         entry = key_store.get(ctx.current_key_id)
         nonce = _request_nonce(ctx.uses) if ctx.suite.mode == MODE_AEAD else b""
         aad = _aad(ctx.current_key_id, ctx.suite.suite_id, ctx.client_sae)
@@ -248,18 +249,18 @@ def encrypt(ctx: SecurityContext, plaintext: bytes, key_store: KeyStore, kme, *,
 
 def _stored_key(envelope: EncryptedEnvelope, key_store: KeyStore) -> tuple[CipherSuite, bytes]:
     """The suite and key an envelope names: the suite is known, the key is
-    stored, and the key was stored under that same suite."""
+    stored, and the key has that suite's length."""
     suite = SUITES.get(envelope.suite_id)
     if suite is None:
         raise MalformedError(f"unknown cipher suite {envelope.suite_id}")
     try:
-        entry = key_store.get(envelope.key_id)
+        key_bits = key_store.get(envelope.key_id).key_bits
     except NotFoundError:
         raise UnknownKeyIdError(f"key {envelope.key_id} not in store")
-    if entry.suite_id != envelope.suite_id:
+    if len(key_bits) * 8 != suite.key_length:
         # stops a cached AEAD key from being replayed through the pad path
         raise AuthFailureError("cipher suite does not match the stored key")
-    return suite, entry.key_bits
+    return suite, key_bits
 
 
 def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, *,

@@ -268,18 +268,13 @@ class Meo:
                 raise NotFoundError(f"chained app {entry.chain_to} not in catalog")
             chain_uri = self._acquire_instance_locked(chain_entry).uri
         try:
-            # the chained hop may have consumed slots, so place again
+            # the chained hop may have consumed slots, so place again; chains
+            # are acyclic, so the hop deployed no instance of this app to reuse
             placement = place_app(entry.app, list(self._inventory.values()))
         except CapacityExhaustedError:
             if chain_uri is not None:
                 self._release_ref_locked(chain_uri)
             raise
-        if placement.kind == "reuse":
-            assert placement.uri is not None
-            if chain_uri is not None:
-                self._release_ref_locked(chain_uri)  # reused entry already holds its hop
-            _, instance = self._find_instance(placement.uri)
-            return instance
         host = self._inventory[placement.host_id]
         uri = self._commanders[placement.host_id].deploy(entry, chain_uri)
         instance = InstanceInfo(uri=uri, app=entry.app, shareable=entry.shareable,

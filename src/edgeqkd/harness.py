@@ -35,7 +35,6 @@ from .transport import (
     InprocTransport,
     Record,
     Transcript,
-    iter_frames,
 )
 from .wire import b64decode, decode_error, decode_key_container, dumps
 
@@ -53,8 +52,6 @@ class QkdSettings:
     seed: bytes | None
     rate_bits_per_sec: int
     capacity_bits: int
-    default_key_length: int = 256
-    max_key_per_request: int = 128
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,6 @@ class ScenarioConfig:
             seed=seed,
             rate_bits_per_sec=int(qkd_doc["rate_bits_per_sec"]),
             capacity_bits=int(qkd_doc["capacity_bits"]),
-            default_key_length=int(qkd_doc.get("default_key_length", 256)),
-            max_key_per_request=int(qkd_doc.get("max_key_per_request", 128)),
         )
         if qkd.rate_bits_per_sec < 0:
             raise InvalidConfigError("qkd.rate_bits_per_sec must be non-negative")
@@ -276,8 +271,6 @@ class Stack:
         master, slave = new_kme_pair(
             seed, config.qkd.rate_bits_per_sec, config.qkd.capacity_bits, clock=clock,
             master_sae=MASTER_SAE, slave_sae=SLAVE_SAE,
-            default_key_length=config.qkd.default_key_length,
-            max_key_per_request=config.qkd.max_key_per_request,
         )
 
         servers: list[ComponentHttpServer] = []
@@ -363,12 +356,8 @@ class Stack:
     def stop(self) -> None:
         if isinstance(self.transport, HttpTransport):
             self.transport.close()
-        # Side by side: each stop waits out its server's 0.5 s poll.
-        threads = [threading.Thread(target=server.stop) for server in self.servers]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        for server in self.servers:
+            server.stop()
 
     def pool_stats(self) -> dict:
         return self.kme_master.pair.stats()
@@ -413,27 +402,33 @@ def compute_metrics(records: Sequence[Record],
     metrics = RunMetrics()
     pending_client_ts: list[float] = []
     paired_latencies: list[float] = []
-    for record, frame in iter_frames(records):
+    for record in records:
         chan = record.channel
-        if chan == "client":
-            if frame.kind == "REQ":
+        if chan not in ("client", "qkd", "mx2"):
+            continue
+        payload = record.payload
+        # the first line is "REQ <method> <target>" or "RSP <status> <method> <target>"
+        end = payload.find(b"\n")
+        first = (payload if end < 0 else payload[:end]).decode("utf-8", "replace").split(" ")
+        if first[0] != "RSP":
+            if chan == "client":
                 pending_client_ts.append(record.ts)
+            continue
+        status, path = int(first[1]), first[3] if len(first) > 3 else ""
+        if chan == "client":
+            if pending_client_ts:
+                paired_latencies.append(record.ts - pending_client_ts.pop(0))
+            metrics.requests_total += 1
+            if status == 200:
+                metrics.requests_ok += 1
             else:
-                if pending_client_ts:
-                    paired_latencies.append(record.ts - pending_client_ts.pop(0))
-                metrics.requests_total += 1
-                if frame.status == 200:
-                    metrics.requests_ok += 1
-                else:
-                    code, _ = decode_error(frame.body)
-                    metrics.errors[code] = metrics.errors.get(code, 0) + 1
-        elif chan == "qkd" and frame.kind == "RSP" and frame.status == 200 \
-                and frame.path.endswith("/enc_keys"):
-            container = decode_key_container(frame.body)
-            metrics.qkd_keys_consumed += len(container.keys)
-            metrics.qkd_bits_consumed += sum(len(e.key) * 8 for e in container.keys)
-        elif chan == "mx2" and frame.kind == "RSP" and frame.status == 201 \
-                and frame.path.endswith("/app_contexts"):
+                code, _ = decode_error(payload.partition(b"\n\n")[2])
+                metrics.errors[code] = metrics.errors.get(code, 0) + 1
+        elif chan == "qkd" and status == 200 and path.endswith("/enc_keys"):
+            keys = decode_key_container(payload.partition(b"\n\n")[2])
+            metrics.qkd_keys_consumed += len(keys)
+            metrics.qkd_bits_consumed += sum(len(key) * 8 for _, key in keys)
+        elif chan == "mx2" and status == 201 and path.endswith("/app_contexts"):
             metrics.contexts_created += 1
     metrics.key_exhausted_count = metrics.errors.get("key-exhausted", 0)
     values = list(latencies) if latencies is not None else paired_latencies

@@ -155,7 +155,7 @@ class MecHost:
 
     # -- key handling ------------------------------------------------------------
 
-    def _resolve_key(self, key_id: str, suite_id: int) -> None:
+    def _resolve_key(self, key_id: str) -> None:
         """Fetch-and-cache a key by id; concurrent callers share one fetch."""
         if key_id in self._store:
             return
@@ -175,7 +175,7 @@ class MecHost:
                 fetched = self._kme.get_dec_keys(self.master_sae, [key_id])
                 self.dec_fetches += 1
                 _, key_bits = fetched[0]
-                self._store.put(key_id, key_bits, suite_id)
+                self._store.put(key_id, key_bits)
         except Exception as exc:
             flight.error = exc
             raise
@@ -191,7 +191,7 @@ class MecHost:
         if context_id is None or context_id not in instance.active_contexts:
             raise ContextDeletedError("no active application context for this instance")
         try:
-            self._resolve_key(envelope.key_id, envelope.suite_id)
+            self._resolve_key(envelope.key_id)
         except (UnknownKeyIdError, AlreadyConsumedError) as exc:
             # consumption state is internal to the key plane; callers only
             # learn that the key cannot be obtained

@@ -10,6 +10,11 @@ connection. Both ends set TCP_NODELAY. http.client sends the head and the
 body of a request in two writes, and the handler does the same for a
 response; with Nagle's algorithm on, a kept-alive connection would wait
 for a delayed ACK (about 40 ms) on every exchange.
+
+Each server accepts in a blocking loop of its own rather than
+`serve_forever`, which polls every 0.5 s to notice a shutdown request.
+`stop()` shuts the listening socket down, which fails the pending accept
+at once, so a stopped server costs no wait and an idle one never wakes.
 """
 
 from __future__ import annotations
@@ -106,17 +111,30 @@ class ComponentHttpServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ComponentHttpServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
+        self._thread = threading.Thread(target=self._accept_loop,
                                         name=f"httpd-{self.name}", daemon=True)
         self._thread.start()
         return self
 
+    def _accept_loop(self) -> None:
+        server = self._server
+        while True:
+            try:
+                request, client_address = server.get_request()
+            except OSError:  # stop() shut the listening socket down
+                return
+            try:
+                server.process_request(request, client_address)
+            except Exception:
+                server.handle_error(request, client_address)
+                server.shutdown_request(request)
+
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.end_connections()
-        self._server.server_close()  # joins the handler threads
+        self._server.socket.shutdown(socket.SHUT_RDWR)  # wakes the accept loop
         if self._thread is not None:
             self._thread.join(timeout=5)
+        self._server.end_connections()
+        self._server.server_close()  # joins the handler threads
 
 
 def _begin(conn: http.client.HTTPConnection, target: str,

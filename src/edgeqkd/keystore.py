@@ -2,7 +2,8 @@
 
 Entries are immutable once inserted (re-inserting an id is an error) and
 never outlive the configured maximum age: lookups past expiry evict the
-entry and report not-found.
+entry and report not-found. An entry holds only the key bytes: the key's
+length fixes its cipher suite (see `channel.SUITES`), so no suite is stored.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import DuplicateIdError, NotFoundError
 @dataclass
 class KeyStoreEntry:
     key_bits: bytes
-    suite_id: int
     inserted_at: float
 
 
@@ -33,15 +33,13 @@ class KeyStore:
     def _expired(self, entry: KeyStoreEntry, now: float) -> bool:
         return (now - entry.inserted_at) > self._max_age
 
-    def put(self, key_id: str, key_bits: bytes, suite_id: int) -> None:
+    def put(self, key_id: str, key_bits: bytes) -> None:
         now = self._clock.now()
         with self._lock:
             current = self._entries.get(key_id)
             if current is not None and not self._expired(current, now):
                 raise DuplicateIdError(f"key {key_id} already stored")
-            self._entries[key_id] = KeyStoreEntry(
-                key_bits=key_bits, suite_id=suite_id, inserted_at=now
-            )
+            self._entries[key_id] = KeyStoreEntry(key_bits=key_bits, inserted_at=now)
 
     def get(self, key_id: str) -> KeyStoreEntry:
         now = self._clock.now()

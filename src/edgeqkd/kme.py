@@ -41,6 +41,8 @@ from .wire import (
     loads,
 )
 
+# Fixed for every entity: the key size used when a request names none, and
+# the most keys one enc_keys request may draw.
 DEFAULT_KEY_LENGTH = 256
 DEFAULT_MAX_KEYS_PER_REQUEST = 128
 
@@ -137,14 +139,10 @@ class KmePair:
     """Shared state of the two entities terminating one link."""
 
     def __init__(self, pool: EntropyPool, master_sae: str, slave_sae: str, *,
-                 seed: bytes | None,
-                 default_key_length: int = DEFAULT_KEY_LENGTH,
-                 max_key_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST) -> None:
+                 seed: bytes | None) -> None:
         self.pool = pool
         self.master_sae = master_sae
         self.slave_sae = slave_sae
-        self.default_key_length = default_key_length
-        self.max_key_per_request = max_key_per_request
         self._ids = make_stream(seed, "qkd-key-id")
         self._records: dict[str, KeyRecord] = {}
         self._lock = threading.RLock()
@@ -157,8 +155,8 @@ class KmePair:
                  count: int) -> list[tuple[str, bytes]]:
         if key_length <= 0 or key_length % 8 != 0:
             raise BadLengthError(f"key length {key_length} is not a positive multiple of 8")
-        if count < 1 or count > self.max_key_per_request:
-            raise BadLengthError(f"count must be in [1, {self.max_key_per_request}]")
+        if count < 1 or count > DEFAULT_MAX_KEYS_PER_REQUEST:
+            raise BadLengthError(f"count must be in [1, {DEFAULT_MAX_KEYS_PER_REQUEST}]")
         if caller_sae != self.master_sae or slave_sae != self.slave_sae:
             raise UnknownPeerError(
                 f"no master link {caller_sae!r} -> {slave_sae!r} on this entity"
@@ -209,7 +207,7 @@ class KmePair:
     def status(self, peer_sae: str, expected_peer: str, key_length: int | None = None) -> KmeStatus:
         if peer_sae != expected_peer:
             raise UnknownPeerError(f"unknown peer {peer_sae!r}")
-        length = key_length or self.default_key_length
+        length = key_length or DEFAULT_KEY_LENGTH
         if length <= 0 or length % 8 != 0:
             raise BadLengthError(f"key length {length} is not a positive multiple of 8")
         with self._lock:
@@ -218,7 +216,7 @@ class KmePair:
             peer_sae=peer_sae,
             key_length_default=length,
             stored_key_count=available // length,
-            max_key_per_request=self.max_key_per_request,
+            max_key_per_request=DEFAULT_MAX_KEYS_PER_REQUEST,
         )
 
     def holds_material(self, key_id: str) -> bool:
@@ -273,14 +271,10 @@ class KmeHandle:
 def new_kme_pair(seed: bytes | None, rate_bits_per_sec: int, capacity_bits: int, *,
                  clock: Clock | None = None,
                  master_sae: str = "sae-client", slave_sae: str = "sae-mec",
-                 default_key_length: int = DEFAULT_KEY_LENGTH,
-                 max_key_per_request: int = DEFAULT_MAX_KEYS_PER_REQUEST,
                  ) -> tuple[KmeHandle, KmeHandle]:
     """Create both ends of a link sharing one full pool. Roles are fixed for life."""
     pool = EntropyPool(seed, rate_bits_per_sec, capacity_bits, clock)
-    pair = KmePair(pool, master_sae, slave_sae, seed=seed,
-                   default_key_length=default_key_length,
-                   max_key_per_request=max_key_per_request)
+    pair = KmePair(pool, master_sae, slave_sae, seed=seed)
     return KmeHandle(pair, MASTER), KmeHandle(pair, SLAVE)
 
 
@@ -324,7 +318,7 @@ class KmeApi:
         if not isinstance(doc, dict):
             raise BadLengthError("enc_keys body must be an object")
         number = doc.get("number", 1)
-        size = doc.get("size", self._handle.pair.default_key_length)
+        size = doc.get("size", DEFAULT_KEY_LENGTH)
         if not isinstance(number, int) or not isinstance(size, int):
             raise BadLengthError("number and size must be integers")
         keys = self._handle.get_enc_keys(self._handle.local_sae, peer, size, number)
@@ -366,14 +360,12 @@ class KmeClient:
     def get_enc_keys(self, slave_sae: str, *, size: int, number: int = 1) -> list[tuple[str, bytes]]:
         response = self._request("POST", f"/api/v1/keys/{slave_sae}/enc_keys",
                                  dumps({"number": number, "size": size}))
-        container = decode_key_container(response.body)
-        return [(entry.key_id, entry.key) for entry in container.keys]
+        return decode_key_container(response.body)
 
     def get_dec_keys(self, master_sae: str, key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
         response = self._request("POST", f"/api/v1/keys/{master_sae}/dec_keys",
                                  dumps({"key_IDs": [{"key_ID": kid} for kid in key_ids]}))
-        container = decode_key_container(response.body)
-        return [(entry.key_id, entry.key) for entry in container.keys]
+        return decode_key_container(response.body)
 
     def get_status(self, peer_sae: str, *, size: int | None = None) -> dict:
         query = {"size": str(size)} if size is not None else None

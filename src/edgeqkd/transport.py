@@ -15,7 +15,7 @@ import json
 import threading
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 from urllib.parse import parse_qsl, urlencode, urlsplit
 
 from .clock import Clock, SystemClock
@@ -111,32 +111,6 @@ def _render_query(query: Mapping[str, str]) -> str:
 def frame(first_line: str, headers: Mapping[str, str], body: bytes) -> bytes:
     head = [first_line] + [f"{k}: {v}" for k, v in sorted(headers.items())]
     return ("\n".join(head) + "\n\n").encode("utf-8") + body
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A parsed transcript payload (inverse of frame)."""
-
-    kind: str  # "REQ" | "RSP"
-    status: int | None
-    method: str
-    path: str
-    headers: dict[str, str]
-    body: bytes
-
-
-def parse_frame(payload: bytes) -> Frame:
-    head, _, body = payload.partition(b"\n\n")
-    lines = head.decode("utf-8", "replace").split("\n")
-    first = lines[0].split(" ")
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(": ")
-        if name:
-            headers[name] = value
-    if first[0] == "RSP":
-        return Frame("RSP", int(first[1]), first[2], first[3] if len(first) > 3 else "", headers, body)
-    return Frame("REQ", None, first[1], first[2] if len(first) > 2 else "", headers, body)
 
 
 _RECORD_KEYS = ("ts", "from", "to", "channel", "payload_b64")
@@ -289,8 +263,3 @@ def raise_for_status(response: WireResponse) -> WireResponse:
         except ValueError:
             retry_after = None
     raise error_for_code(code, message, retry_after=retry_after)
-
-
-def iter_frames(records: Iterable[Record]) -> Iterable[tuple[Record, Frame]]:
-    for record in records:
-        yield record, parse_frame(record.payload)

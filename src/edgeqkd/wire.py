@@ -13,7 +13,6 @@ import base64
 import binascii
 import json
 import uuid
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .errors import MalformedError
@@ -52,17 +51,6 @@ def _require_uuid(value: Any) -> str:
         raise MalformedError(f"invalid key_ID {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class KeyEntry:
-    key_id: str
-    key: bytes
-
-
-@dataclass(frozen=True)
-class KeyContainer:
-    keys: tuple[KeyEntry, ...]
-
-
 def encode_key_container(pairs: Iterable[tuple[str, bytes]]) -> bytes:
     entries = [{"key_ID": key_id, "key": b64encode(key)} for key_id, key in pairs]
     if not entries:
@@ -70,20 +58,21 @@ def encode_key_container(pairs: Iterable[tuple[str, bytes]]) -> bytes:
     return dumps({"keys": entries})
 
 
-def decode_key_container(data: bytes | str) -> KeyContainer:
+def decode_key_container(data: bytes | str) -> list[tuple[str, bytes]]:
+    """The (key_ID, key) pairs of a container: the inverse of encode_key_container."""
     doc = loads(data)
     if not isinstance(doc, dict) or not isinstance(doc.get("keys"), list):
         raise MalformedError("key container must hold a 'keys' array")
-    entries = []
+    pairs = []
     for item in doc["keys"]:
         if not isinstance(item, dict):
             raise MalformedError("key container entries must be objects")
         if "key_ID" not in item or "key" not in item:
             raise MalformedError("key container entry missing key_ID or key")
-        entries.append(KeyEntry(key_id=_require_uuid(item["key_ID"]), key=b64decode(item["key"])))
-    if not entries:
+        pairs.append((_require_uuid(item["key_ID"]), b64decode(item["key"])))
+    if not pairs:
         raise MalformedError("key container must not be empty")
-    return KeyContainer(keys=tuple(entries))
+    return pairs
 
 
 STATUS_FIELDS = ("peer_sae", "key_length_default", "stored_key_count", "max_key_per_request")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -44,3 +45,34 @@ class LocalKmeClient:
 
     def get_dec_keys(self, master_sae: str, key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
         return self._handle.get_dec_keys(self._caller, master_sae, key_ids)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """A parsed transcript payload (the inverse of transport.frame)."""
+
+    kind: str  # "REQ" | "RSP"
+    status: int | None
+    method: str
+    path: str
+    headers: dict[str, str]
+    body: bytes
+
+
+def parse_frame(payload: bytes) -> Frame:
+    head, _, body = payload.partition(b"\n\n")
+    lines = head.decode("utf-8", "replace").split("\n")
+    first = lines[0].split(" ")
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(": ")
+        if name:
+            headers[name] = value
+    if first[0] == "RSP":
+        return Frame("RSP", int(first[1]), first[2], first[3] if len(first) > 3 else "", headers, body)
+    return Frame("REQ", None, first[1], first[2] if len(first) > 2 else "", headers, body)
+
+
+def iter_frames(records: Iterable) -> Iterable[tuple]:
+    for record in records:
+        yield record, parse_frame(record.payload)

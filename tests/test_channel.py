@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgeqkd.channel import (
+    SUITES,
     EncryptedEnvelope,
     MODE_OTP,
     RefreshPolicy,
@@ -49,11 +50,11 @@ def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,)):
 
 
 def server_decrypt(envelope, server_store, server_kme):
-    """Open a request as the host does: fetch its key by key_ID once, cache it
-    under the envelope's suite, then decrypt from the store."""
+    """Open a request as the host does: fetch its key by key_ID once, cache it,
+    then decrypt from the store."""
     if envelope.key_id not in server_store:
         (_, key_bits), = server_kme.get_dec_keys("sae-client", [envelope.key_id])
-        server_store.put(envelope.key_id, key_bits, envelope.suite_id)
+        server_store.put(envelope.key_id, key_bits)
     return decrypt(envelope, server_store)
 
 
@@ -234,6 +235,12 @@ def test_suite_swap_on_cached_key_fails_closed(sim_clock):
                                 envelope.sender_sae)
     with pytest.raises(AuthFailureError):
         decrypt(swapped, server_store)
+
+
+def test_each_suite_has_its_own_key_length():
+    # the server reads a stored key's suite from its length
+    lengths = [suite.key_length for suite in SUITES.values()]
+    assert len(set(lengths)) == len(lengths)
 
 
 def test_decrypt_without_source_fails(sim_clock):

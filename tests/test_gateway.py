@@ -4,7 +4,8 @@ import threading
 
 from edgeqkd.harness import ScenarioConfig, Stack
 from edgeqkd.host import BUILTIN_HANDLERS
-from edgeqkd.transport import iter_frames
+
+from conftest import iter_frames
 
 SEED_HEX = "5a" * 32
 

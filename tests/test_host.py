@@ -197,6 +197,25 @@ def test_single_flight_key_fetch():
     assert host.dec_fetches == 1  # one consume-once fetch despite the race
 
 
+def test_forged_suite_on_a_seen_key_does_not_block_the_genuine_request():
+    # A caller who saw a key_ID sends it first under the one-time-pad suite
+    # with an empty nonce. The key's length fixes its suite, so the forgery
+    # fails and does not stop the genuine envelope from being served.
+    host, master, transport, clock = build_host()
+    inst = host.deploy(app_doc(), "fn-echo", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme, store = client_side(master, clock)
+    genuine = channel.encrypt(ctx, b"genuine request", store, kme, clock=clock)
+    forged = EncryptedEnvelope(genuine.key_id, 2, b"", genuine.ciphertext, genuine.sender_sae)
+    response = invoke(host, transport, inst, forged)
+    assert response.status == 502
+    assert b"auth-failure" in response.body
+    response = invoke(host, transport, inst, genuine)
+    assert response.status == 200
+    reply = EncryptedEnvelope.from_bytes(response.body)
+    assert channel.decrypt(reply, store, response=True) == b"genuine request"
+
+
 def test_key_obtainable_from_exactly_one_place():
     host, master, transport, clock = build_host()
     inst = host.deploy(app_doc(), "fn-echo", None)

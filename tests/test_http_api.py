@@ -14,13 +14,10 @@ from edgeqkd.errors import AlreadyConsumedError, KeyExhaustedError, UnknownPeerE
 from edgeqkd.harness import ScenarioConfig, Stack, run_scenario
 from edgeqkd.httpd import ComponentHttpServer, HttpTransport
 from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
-from edgeqkd.transport import (
-    Router,
-    iter_frames,
-    json_response,
-    raise_for_status,
-)
+from edgeqkd.transport import Router, json_response, raise_for_status
 from edgeqkd.wire import dumps, loads
+
+from conftest import iter_frames
 
 SEED = b"\x77" * 32
 

@@ -12,16 +12,15 @@ def store(sim_clock):
 
 
 def test_put_then_get(store):
-    store.put("k1", b"\x01" * 32, suite_id=1)
+    store.put("k1", b"\x01" * 32)
     entry = store.get("k1")
     assert entry.key_bits == b"\x01" * 32
-    assert entry.suite_id == 1
 
 
 def test_duplicate_put_rejected(store):
-    store.put("k1", b"a" * 32, 1)
+    store.put("k1", b"a" * 32)
     with pytest.raises(DuplicateIdError):
-        store.put("k1", b"b" * 32, 1)
+        store.put("k1", b"b" * 32)
 
 
 def test_get_missing(store):
@@ -31,7 +30,7 @@ def test_get_missing(store):
 
 def test_expiry_after_max_age(sim_clock):
     store = KeyStore(sim_clock, max_age_sec=10)
-    store.put("k1", b"x" * 32, 1)
+    store.put("k1", b"x" * 32)
     sim_clock.advance(10)
     assert "k1" in store  # exactly max_age: still alive
     sim_clock.advance(0.001)
@@ -42,15 +41,15 @@ def test_expiry_after_max_age(sim_clock):
 
 def test_reinsert_after_expiry(sim_clock):
     store = KeyStore(sim_clock, max_age_sec=5)
-    store.put("k1", b"old!" * 8, 1)
+    store.put("k1", b"old!" * 8)
     sim_clock.advance(6)
-    store.put("k1", b"new!" * 8, 1)  # stale slot may be reused
+    store.put("k1", b"new!" * 8)  # stale slot may be reused
     assert store.get("k1").key_bits == b"new!" * 8
 
 
 def test_purge_and_discard(store):
-    store.put("a", b"1" * 16, 1)
-    store.put("b", b"2" * 16, 1)
+    store.put("a", b"1" * 16)
+    store.put("b", b"2" * 16)
     store.purge(["a"])
     store.purge(["b", "missing"])
     assert len(store) == 0
