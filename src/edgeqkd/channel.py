@@ -10,6 +10,12 @@ the first envelope lazily. A key's length fixes its suite: every suite in
 the suite is known and that the stored key has that suite's length. Key
 identifiers and suite identifiers are not secret and travel in the clear.
 
+An envelope is sent as `application/octet-stream`, with a header in the
+manner of RFC 8188 §2.1: one version byte (1), one suite-id byte, then the
+key_ID (its ASCII UUID text), the nonce (12 bytes, or none for the pad) and
+the sender SAE id (UTF-8), each behind a one-byte length. The rest of the
+body is the ciphertext.
+
 Keys are refreshed per policy: after `max_uses` encryptions or once the
 current key is older than `max_age_sec`, the next encryption fetches a
 fresh key first. Refresh is atomic per context, so racing encryptions
@@ -36,12 +42,12 @@ from .errors import (
     UnknownKeyIdError,
 )
 from .keystore import KeyStore
-from .wire import b64decode, b64encode, dumps, loads
 
 MODE_AEAD = "aead"
 MODE_OTP = "one-time-pad"
 
 NONCE_BYTES = 12
+ENVELOPE_VERSION = 1
 _DIR_REQUEST = 0x00
 _DIR_RESPONSE = 0x01
 
@@ -110,38 +116,36 @@ class EncryptedEnvelope:
     ciphertext: bytes
     sender_sae: str
 
-    def to_doc(self) -> dict:
-        return {
-            "key_ID": self.key_id,
-            "cipher_suite": self.suite_id,
-            "nonce": b64encode(self.nonce),
-            "ciphertext": b64encode(self.ciphertext),
-            "sender": self.sender_sae,
-        }
-
     def to_bytes(self) -> bytes:
-        return dumps(self.to_doc())
-
-    @classmethod
-    def from_doc(cls, doc: Mapping) -> "EncryptedEnvelope":
-        if not isinstance(doc, Mapping):
-            raise MalformedError("envelope must be an object")
-        for field_name in ("key_ID", "cipher_suite", "nonce", "ciphertext", "sender"):
-            if field_name not in doc:
-                raise MalformedError(f"envelope missing field {field_name!r}")
-        if not isinstance(doc["cipher_suite"], int):
-            raise MalformedError("cipher_suite must be an integer")
-        return cls(
-            key_id=str(doc["key_ID"]),
-            suite_id=doc["cipher_suite"],
-            nonce=b64decode(doc["nonce"]),
-            ciphertext=b64decode(doc["ciphertext"]),
-            sender_sae=str(doc["sender"]),
-        )
+        key_id = self.key_id.encode("ascii")
+        sender = self.sender_sae.encode("utf-8")
+        for name, value in (("key_ID", key_id), ("nonce", self.nonce), ("sender", sender)):
+            if len(value) > 255:
+                raise ValueError(f"envelope {name} is {len(value)} bytes, over 255")
+        if not 0 <= self.suite_id <= 255:
+            raise ValueError(f"envelope suite id {self.suite_id} does not fit one byte")
+        return b"".join((bytes((ENVELOPE_VERSION, self.suite_id, len(key_id))), key_id,
+                         bytes((len(self.nonce),)), self.nonce, bytes((len(sender),)), sender,
+                         self.ciphertext))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EncryptedEnvelope":
-        return cls.from_doc(loads(data))
+        if len(data) < 2:
+            raise MalformedError("envelope header is truncated")
+        if data[0] != ENVELOPE_VERSION:
+            raise MalformedError(f"unknown envelope version {data[0]}")
+        fields, pos = [], 2
+        for name in ("key_ID", "nonce", "sender"):
+            if pos >= len(data) or pos + 1 + data[pos] > len(data):
+                raise MalformedError(f"envelope {name} runs past the end")
+            fields.append(data[pos + 1:pos + 1 + data[pos]])
+            pos += 1 + data[pos]
+        key_id, nonce, sender = fields
+        try:
+            return cls(key_id=key_id.decode("ascii"), suite_id=data[1], nonce=nonce,
+                       ciphertext=data[pos:], sender_sae=sender.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise MalformedError(f"envelope key_ID or sender is not valid text: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +274,11 @@ def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, *,
     `response` selects the reply direction (nonce space and pad half).
     """
     suite, key_bits = _stored_key(envelope, key_store)
+    direction = _DIR_RESPONSE if response else _DIR_REQUEST
+    if suite.mode == MODE_AEAD and envelope.nonce[:1] != bytes([direction]):
+        # a reply sent back as a request would get its answer sealed under
+        # the reply's own nonce: AES-GCM nonce reuse
+        raise AuthFailureError("envelope nonce is from the other direction")
     aad = _aad(envelope.key_id, envelope.suite_id, envelope.sender_sae)
     return _open(suite, key_bits, envelope.nonce, envelope.ciphertext, aad,
                  response=response)

@@ -169,7 +169,7 @@ class Gateway:
         response = self._transport.request(
             src=self._component, channel="data", method="POST",
             url=binding.endpoint_uri + "/invoke", body=envelope.to_bytes(),
-            headers={"content-type": "application/json",
+            headers={"content-type": "application/octet-stream",
                      "x-app-context-id": binding.context_id or ""},
         )
         if response.headers.get("x-envelope") == "1":

@@ -197,7 +197,7 @@ class MecHost:
             # learn that the key cannot be obtained
             raise UnknownKeyIdError(str(exc)) from exc
         plaintext = channel.decrypt(envelope, self._store)
-        headers = {"content-type": "application/json", "x-envelope": "1"}
+        headers = {"content-type": "application/octet-stream", "x-envelope": "1"}
         try:
             status, result = 200, self._run(instance, plaintext)
         except EdgeQkdError as exc:

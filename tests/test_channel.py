@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgeqkd.channel import (
     SUITES,
@@ -22,6 +22,7 @@ from edgeqkd.clock import SimulatedClock
 from edgeqkd.errors import (
     AuthFailureError,
     KeyExhaustedError,
+    MalformedError,
     MessageTooLongError,
     NoCommonSuiteError,
     UnknownKeyIdError,
@@ -344,17 +345,73 @@ def test_nonce_unique_within_key(sim_clock):
         nonces.add(envelope.nonce)
 
 
-def test_envelope_codec_roundtrip(sim_clock):
-    ctx, _, store, *_ = make_side(sim_clock)
-    envelope = encrypt(ctx, b"codec", store, None, clock=sim_clock)
-    again = EncryptedEnvelope.from_bytes(envelope.to_bytes())
-    assert again == envelope
+def test_envelope_bytes_golden():
+    # pins the wire layout: version, suite id, then key_ID, nonce and sender
+    # behind one-byte lengths, then the ciphertext
+    envelope = EncryptedEnvelope(
+        key_id="11111111-2222-4333-8444-555555555555", suite_id=1,
+        nonce=bytes.fromhex("000000000000000000000007"), ciphertext=b"\xde\xad\xbe\xef",
+        sender_sae="sae-client",
+    )
+    assert envelope.to_bytes() == (
+        b"\x01\x01"
+        b"\x2411111111-2222-4333-8444-555555555555"
+        b"\x0c\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x07"
+        b"\x0asae-client"
+        b"\xde\xad\xbe\xef"
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(key_id=st.text(st.characters(max_codepoint=127), max_size=255),
+       suite_id=st.integers(0, 255),
+       nonce=st.binary(max_size=255),
+       sender=st.text(max_size=63),  # at most 4 UTF-8 bytes a character
+       ciphertext=st.binary(max_size=512))
+@example(key_id="11111111-2222-4333-8444-555555555555", suite_id=2, nonce=b"",
+         sender="sae-client", ciphertext=b"\x00" * 64)
+@example(key_id="k", suite_id=1, nonce=b"\x01" * 12, sender="sae-mec", ciphertext=b"")
+@example(key_id="k", suite_id=1, nonce=b"\x00" * 12, sender="sae-client",
+         ciphertext=bytes(64 * 1024))
+def test_envelope_codec_roundtrip(key_id, suite_id, nonce, sender, ciphertext):
+    envelope = EncryptedEnvelope(key_id, suite_id, nonce, ciphertext, sender)
+    assert EncryptedEnvelope.from_bytes(envelope.to_bytes()) == envelope
 
 
 def test_envelope_decode_rejects_missing_fields():
-    from edgeqkd.errors import MalformedError
+    good = EncryptedEnvelope("kid", 1, b"\x00" * 12, b"ct", "sae-client").to_bytes()
+    header = len(good) - len(b"ct")
+    hostile = [good[:cut] for cut in range(header)] + [  # empty, then every truncated header
+        b"\x01\x01\x05abc",                    # key_ID length past the end
+        b"\x02" + good[1:],                     # unknown version
+        b'{"key_ID":"x","cipher_suite":1}',     # the former JSON envelope
+        b"\x01\x01\x02\xc3\xa9\x00\x00",         # non-ASCII key_ID
+        b"\x01\x01\x01k\x00\x02\xff\xfe",         # non-UTF-8 sender
+    ]
+    for body in hostile:
+        with pytest.raises(MalformedError):
+            EncryptedEnvelope.from_bytes(body)
 
-    with pytest.raises(MalformedError):
-        EncryptedEnvelope.from_bytes(b'{"key_ID":"x"}')
-    with pytest.raises(MalformedError):
-        EncryptedEnvelope.from_bytes(b"garbage")
+
+@pytest.mark.parametrize("field_name, envelope", [
+    ("key_ID", EncryptedEnvelope("k" * 256, 1, b"", b"", "s")),
+    ("nonce", EncryptedEnvelope("k", 1, b"n" * 256, b"", "s")),
+    ("sender", EncryptedEnvelope("k", 1, b"", b"", "\u00e9" * 128)),
+    ("suite id", EncryptedEnvelope("k", 256, b"", b"", "s")),
+])
+def test_envelope_encode_rejects_oversized_fields(field_name, envelope):
+    with pytest.raises(ValueError, match=field_name):
+        envelope.to_bytes()
+
+
+def test_nonce_direction_is_checked(sim_clock):
+    # a reply opened as a request (or the reverse) is refused before the
+    # server could seal an answer under the reply's own nonce
+    ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
+    request = encrypt(ctx, b"question", client_store, None, clock=sim_clock)
+    server_decrypt(request, server_store, server_kme)
+    reply = encrypt_response(request, b"answer", server_store, "sae-mec")
+    with pytest.raises(AuthFailureError):
+        decrypt(reply, server_store)
+    with pytest.raises(AuthFailureError):
+        decrypt(request, client_store, response=True)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import threading
 
 import pytest
@@ -77,7 +78,7 @@ def invoke(host, transport, inst, envelope, context_id=CTX):
     return transport.request(
         src="gateway", channel="data", method="POST", url=inst.uri + "/invoke",
         body=envelope.to_bytes(),
-        headers={"x-app-context-id": context_id, "content-type": "application/json"},
+        headers={"x-app-context-id": context_id, "content-type": "application/octet-stream"},
     )
 
 
@@ -214,6 +215,50 @@ def test_forged_suite_on_a_seen_key_does_not_block_the_genuine_request():
     assert response.status == 200
     reply = EncryptedEnvelope.from_bytes(response.body)
     assert channel.decrypt(reply, store, response=True) == b"genuine request"
+
+
+def test_reflected_reply_is_refused():
+    # A captured sealed reply POSTed back to /invoke authenticates under its
+    # own sender. Opened as a request, its answer would be sealed under the
+    # same key and the same nonce as the captured reply.
+    host, master, transport, clock = build_host()
+    response, _, plaintext, _ = roundtrip(host, master, transport, clock, b"[1,2,3]",
+                                          handler="fn-sum")
+    assert plaintext == b"6"
+    inst = host.instances()[0]
+    reflected = transport.request(
+        src="gateway", channel="data", method="POST", url=inst.uri + "/invoke",
+        body=response.body,
+        headers={"x-app-context-id": CTX, "content-type": "application/octet-stream"},
+    )
+    assert reflected.status == 502
+    assert b"auth-failure" in reflected.body
+    assert "x-envelope" not in reflected.headers
+
+
+def test_malformed_envelope_consumes_no_key():
+    host, master, transport, clock = build_host()
+    inst = host.deploy(app_doc(), "fn-echo", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme, store = client_side(master, clock)
+    genuine = channel.encrypt(ctx, b"genuine request", store, kme, clock=clock)
+    legacy_json = dumps({
+        "key_ID": genuine.key_id, "cipher_suite": genuine.suite_id,
+        "nonce": base64.b64encode(genuine.nonce).decode(),
+        "ciphertext": base64.b64encode(genuine.ciphertext).decode(),
+        "sender": genuine.sender_sae,
+    })
+    for body in (genuine.to_bytes()[:20], legacy_json):
+        response = transport.request(
+            src="gateway", channel="data", method="POST", url=inst.uri + "/invoke",
+            body=body, headers={"x-app-context-id": CTX},
+        )
+        assert response.status == 400
+        assert b"malformed" in response.body
+    assert host.dec_fetches == 0
+    assert master.pair.holds_material(genuine.key_id)
+    response = invoke(host, transport, inst, genuine)
+    assert response.status == 200
 
 
 def test_key_obtainable_from_exactly_one_place():
