@@ -284,6 +284,12 @@ def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, *,
                  response=response)
 
 
+def single_use(envelope: EncryptedEnvelope) -> bool:
+    """True when the envelope's key serves one exchange only (the one-time pad)."""
+    suite = SUITES.get(envelope.suite_id)
+    return suite is not None and suite.mode == MODE_OTP
+
+
 def encrypt_response(request_envelope: EncryptedEnvelope, plaintext: bytes,
                      key_store: KeyStore, sender_sae: str) -> EncryptedEnvelope:
     """Seal a reply under the same key the request used (distinct nonce direction)."""

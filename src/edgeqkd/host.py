@@ -6,7 +6,8 @@ key-management entity, single-flight per key id), decrypts, runs the
 registered handler, optionally forwards the intermediate result one hop to
 a chained instance inside the same perimeter, and seals the result under
 the same key the request used. Nothing leaves the host toward the client
-domain in the clear, handler failures included.
+domain in the clear, handler failures included. A one-time pad serves one
+request: once an envelope has been opened under it, the pad leaves the store.
 """
 
 from __future__ import annotations
@@ -199,13 +200,19 @@ class MecHost:
         plaintext = channel.decrypt(envelope, self._store)
         headers = {"content-type": "application/octet-stream", "x-envelope": "1"}
         try:
-            status, result = 200, self._run(instance, plaintext)
-        except EdgeQkdError as exc:
-            # whatever went wrong mid-execution, the detail leaves sealed only
-            failure = error_response(HandlerError(exc.message))
-            status, result = failure.status, failure.body
-            headers["x-error-code"] = HandlerError.code
-        sealed = channel.encrypt_response(envelope, result, self._store, self.sae_id)
+            try:
+                status, result = 200, self._run(instance, plaintext)
+            except EdgeQkdError as exc:
+                # whatever went wrong mid-execution, the detail leaves sealed only
+                failure = error_response(HandlerError(exc.message))
+                status, result = failure.status, failure.body
+                headers["x-error-code"] = HandlerError.code
+            sealed = channel.encrypt_response(envelope, result, self._store, self.sae_id)
+        finally:
+            if channel.single_use(envelope):
+                # a pad serves one request: a replayed request or a reflected
+                # reply would refetch the key, and the KME refuses a consumed one
+                self._store.purge([envelope.key_id])
         return WireResponse(status=status, headers=headers, body=sealed.to_bytes())
 
     def _run(self, instance: MecAppInstance, payload: bytes) -> bytes:

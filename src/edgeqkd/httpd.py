@@ -1,65 +1,156 @@
 """Real HTTP bindings for component routers.
 
-Each component can be served by a ThreadingHTTPServer on a loopback port;
+Each component can be served by a ComponentHttpServer on a loopback port;
 the HttpTransport gives callers the same request() surface as the
 in-process transport, still recording every exchange in the transcript.
 
+Both ends are ours, so they speak a small subset of HTTP/1.1 (RFC 9112
+§2-§6): a request or status line, header fields, and a body framed by
+`content-length` only; no chunked coding, no `100-continue`. Either side
+writes a whole message, head and body, in one `sendall`, and reads it back
+through one reader. The reader caps the head at MAX_HEAD_BYTES and the body
+at MAX_BODY_BYTES. A request it cannot take (431 for a long head, 413 for a
+long body, 400 for a malformed one) is answered with `connection: close`,
+and the connection is closed.
+
 Connections persist (RFC 9112 §9.3): the transport keeps idle connections
 per authority and reuses them, so serial requests to one peer share one TCP
-connection. Both ends set TCP_NODELAY. http.client sends the head and the
-body of a request in two writes, and the handler does the same for a
-response; with Nagle's algorithm on, a kept-alive connection would wait
-for a delayed ACK (about 40 ms) on every exchange.
+connection. Both ends set TCP_NODELAY, so a small reply never waits for a
+delayed ACK.
 
-Each server accepts in a blocking loop of its own rather than
-`serve_forever`, which polls every 0.5 s to notice a shutdown request.
-`stop()` shuts the listening socket down, which fails the pending accept
-at once, so a stopped server costs no wait and an idle one never wakes.
+Each server accepts in a blocking loop of its own and serves every accepted
+connection on a thread of its own. A single loop that serves connections
+one after the other would deadlock: handlers call other components over
+HTTP, and a host whose instance chains to another instance on the same
+host calls itself, so its loop would wait on its own reply. Clients pool
+their connections, so there is about one thread per caller and peer.
+`stop()` shuts the listening socket down, which fails the pending accept at
+once, then shuts down and joins every open connection, pooled ones too.
 """
 
 from __future__ import annotations
 
-import http.client
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
+from typing import Mapping
 from urllib.parse import parse_qsl, urlsplit
 
 from .clock import Clock
 from .errors import PeerUnreachableError
 from .transport import Router, Transcript, Transport, WireRequest, WireResponse, _render_query
+from .wire import encode_error
 
-_HOP_HEADERS = {"content-length", "host", "connection", "accept-encoding", "user-agent",
-                "date", "server"}
+MAX_HEAD_BYTES = 16 * 1024
+MAX_BODY_BYTES = 16 * 1024 * 1024
+_RECV_BYTES = 64 * 1024
+
+# framing fields the server adds to a response; the transcript records the
+# response as the router returned it
+_HOP_HEADERS = {"content-length", "connection"}
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
-class _Server(ThreadingHTTPServer):
-    """Tracks its open connections: a kept-alive connection parks its handler
-    thread in readline, and server_close() joins that thread."""
+class _ProtocolError(Exception):
+    """A message outside the subset; `status` is the answer a server gives."""
 
-    def __init__(self, address, handler) -> None:
-        super().__init__(address, handler)
-        self._open: set[socket.socket] = set()
-        self._open_lock = threading.Lock()
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
-    def process_request(self, request, client_address) -> None:
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
 
-    def shutdown_request(self, request) -> None:
-        with self._open_lock:
-            self._open.discard(request)
-            super().shutdown_request(request)
+def _message(first_line: str, headers: Mapping[str, str], body: bytes) -> bytes:
+    """One whole message, head and body, ready for a single sendall."""
+    lines = [first_line, *(f"{name}: {value}" for name, value in headers.items())]
+    for line in lines:
+        if "\r" in line or "\n" in line:
+            raise ValueError(f"line break inside an HTTP head line: {line!r}")
+    lines.append(f"content-length: {len(body)}\r\n\r\n")
+    return "\r\n".join(lines).encode("latin-1") + body
 
-    def end_connections(self) -> None:
-        """Wake every handler thread still waiting on an open connection."""
-        with self._open_lock:
-            for sock in self._open:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:  # the peer already reset it
-                    pass
+
+def _response(status: int, headers: Mapping[str, str], body: bytes) -> bytes:
+    return _message(f"HTTP/1.1 {status} {_REASONS.get(status, '')}", headers, body)
+
+
+class _Connection:
+    """A TCP socket and the bytes read from it that no message has taken yet."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.buffer = bytearray()
+
+    def read_message(self) -> tuple[str, dict[str, str], bytes] | None:
+        """Read one message: (first line, headers by lower-case name, body).
+
+        None means the peer closed the connection before any byte of it.
+        """
+        buffer = self.buffer
+        end = buffer.find(b"\r\n\r\n")
+        while end < 0:
+            if len(buffer) > MAX_HEAD_BYTES:
+                raise _ProtocolError(431, f"message head over {MAX_HEAD_BYTES} bytes")
+            chunk = self.sock.recv(_RECV_BYTES)
+            if not chunk:
+                if buffer:
+                    raise _ProtocolError(400, "connection closed inside a message head")
+                return None
+            buffer += chunk
+            end = buffer.find(b"\r\n\r\n")
+        if end > MAX_HEAD_BYTES:
+            raise _ProtocolError(431, f"message head over {MAX_HEAD_BYTES} bytes")
+        first_line, *lines = buffer[:end].decode("latin-1").split("\r\n")
+        del buffer[:end + 4]
+        headers = {}
+        for line in lines:
+            name, colon, value = line.partition(":")
+            if not colon or not name.strip():
+                raise _ProtocolError(400, f"malformed header line {line[:64]!r}")
+            headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise _ProtocolError(400, "only content-length framing is supported")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _ProtocolError(400, f"bad content-length {length[:32]!r}")
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            raise _ProtocolError(413, f"body of {size} bytes is over {MAX_BODY_BYTES}")
+        while len(buffer) < size:
+            chunk = self.sock.recv(_RECV_BYTES)
+            if not chunk:
+                raise _ProtocolError(400, "connection closed inside a message body")
+            buffer += chunk
+        body = bytes(buffer[:size])
+        del buffer[:size]
+        return first_line, headers, body
+
+    def exchange(self, message: bytes) -> tuple[str, dict[str, str], bytes] | None:
+        """Send a request and read its reply. None means the peer closed or
+        reset the connection before any byte of the reply arrived."""
+        try:
+            self.sock.sendall(message)
+            return self.read_message()
+        except (ConnectionResetError, BrokenPipeError):
+            if self.buffer:
+                raise
+            return None
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def _parse_request(first_line: str, headers: dict[str, str],
+                   body: bytes) -> tuple[WireRequest, bool]:
+    """The request a message carries, and whether the client asks to close."""
+    parts = first_line.split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise _ProtocolError(400, f"malformed request line {first_line[:64]!r}")
+    method, target, version = parts
+    path, _, query = target.partition("?")  # the origin form (RFC 9112 §3.2.1)
+    request = WireRequest(method=method, path=path, headers=headers, body=body,
+                          query=dict(parse_qsl(query)) if query else {})
+    return request, version != "HTTP/1.1" or headers.get("connection") == "close"
 
 
 class ComponentHttpServer:
@@ -69,46 +160,14 @@ class ComponentHttpServer:
     def __init__(self, name: str, router: Router | None = None) -> None:
         self.name = name
         self.router = router
-        outer = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def log_message(self, fmt, *args):  # quiet by design
-                pass
-
-            def _serve(self) -> None:
-                length = int(self.headers.get("content-length", 0) or 0)
-                body = self.rfile.read(length) if length else b""
-                parts = urlsplit(self.path)
-                request = WireRequest(
-                    method=self.command, path=parts.path,
-                    headers={k.lower(): v for k, v in self.headers.items()},
-                    body=body, query=dict(parse_qsl(parts.query)),
-                )
-                if outer.router is None:
-                    response = WireResponse(status=503, body=b"{}")
-                else:
-                    response = outer.router.dispatch(request)
-                body = b"" if response.status in (204, 304) else response.body
-                self.send_response(response.status)
-                for name, value in response.headers.items():
-                    self.send_header(name, value)
-                self.send_header("content-length", str(len(body)))
-                self.end_headers()
-                if body:
-                    self.wfile.write(body)
-
-            do_GET = do_POST = do_DELETE = do_PUT = _serve
-
-        self._server = _Server(("127.0.0.1", 0), _Handler)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        host, port = self._listener.getsockname()[:2]
+        self.base_url = f"http://{host}:{port}"
         self._thread: threading.Thread | None = None
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
+        # open connections and the threads serving them; a kept-alive
+        # connection parks its thread in recv until the peer or stop() ends it
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
 
     def start(self) -> "ComponentHttpServer":
         self._thread = threading.Thread(target=self._accept_loop,
@@ -117,33 +176,62 @@ class ComponentHttpServer:
         return self
 
     def _accept_loop(self) -> None:
-        server = self._server
         while True:
             try:
-                request, client_address = server.get_request()
+                sock, _ = self._listener.accept()
             except OSError:  # stop() shut the listening socket down
                 return
-            try:
-                server.process_request(request, client_address)
-            except Exception:
-                server.handle_error(request, client_address)
-                server.shutdown_request(request)
+            thread = threading.Thread(target=self._serve, args=(sock,),
+                                      name=f"httpd-{self.name}-conn", daemon=True)
+            with self._lock:
+                self._connections[sock] = thread
+            thread.start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        try:
+            connection = _Connection(sock)
+            while True:
+                try:
+                    message = connection.read_message()
+                    if message is None:
+                        return
+                    request, close = _parse_request(*message)
+                except _ProtocolError as exc:
+                    sock.sendall(_response(exc.status,
+                                           {"content-type": "application/json", "connection": "close"},
+                                           encode_error("malformed", str(exc))))
+                    return
+                router = self.router
+                if router is None:
+                    response = WireResponse(status=503, body=b"{}")
+                else:
+                    response = router.dispatch(request)
+                headers = {**response.headers, "connection": "close"} if close else response.headers
+                body = b"" if response.status in (204, 304) else response.body
+                sock.sendall(_response(response.status, headers, body))
+                if close:
+                    return
+        except OSError:  # the peer went away, or stop() shut the connection down
+            return
+        finally:
+            with self._lock:
+                del self._connections[sock]
+                sock.close()
 
     def stop(self) -> None:
-        self._server.socket.shutdown(socket.SHUT_RDWR)  # wakes the accept loop
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept loop
         if self._thread is not None:
             self._thread.join(timeout=5)
-        self._server.end_connections()
-        self._server.server_close()  # joins the handler threads
-
-
-def _begin(conn: http.client.HTTPConnection, target: str,
-           request: WireRequest) -> http.client.HTTPResponse:
-    if conn.sock is None:
-        conn.connect()
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    conn.request(request.method, target, body=request.body, headers=request.headers)
-    return conn.getresponse()
+        self._listener.close()
+        with self._lock:
+            open_connections = list(self._connections.items())
+            for sock, _ in open_connections:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes a thread parked in recv
+                except OSError:  # the peer already reset it
+                    pass
+        for _, thread in open_connections:
+            thread.join(timeout=5)
 
 
 class HttpTransport(Transport):
@@ -158,7 +246,7 @@ class HttpTransport(Transport):
         self._timeout = timeout
         # authority -> idle connections; it never holds more than were in use
         # at one moment, so the peak concurrency per peer bounds it
-        self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        self._idle: dict[str, list[_Connection]] = {}
         self._idle_lock = threading.Lock()
 
     def register_name(self, authority: str, name: str) -> None:
@@ -167,36 +255,55 @@ class HttpTransport(Transport):
     def _destination(self, authority: str) -> str:
         return self._names.get(authority, authority)
 
+    def _connect(self, authority: str) -> _Connection:
+        url = urlsplit("//" + authority)
+        try:
+            address = (url.hostname, url.port or 80)
+        except ValueError as exc:  # a port out of range
+            raise PeerUnreachableError(f"cannot reach {authority}: {exc}") from exc
+        return _Connection(socket.create_connection(address, timeout=self._timeout))
+
     def _send(self, authority: str, request: WireRequest) -> WireResponse:
         target = request.path + _render_query(request.query)
+        message = _message(f"{request.method} {target} HTTP/1.1",
+                           {"host": authority, **request.headers}, request.body)
         with self._idle_lock:
             idle = self._idle.get(authority)
-            conn = idle.pop() if idle else http.client.HTTPConnection(authority, timeout=self._timeout)
+            conn = idle.pop() if idle else None
         try:
-            reused = conn.sock is not None
-            try:
-                raw = _begin(conn, target, request)
-            except (ConnectionResetError, BrokenPipeError):
-                if not reused:
-                    raise
-                # The peer closed the idle connection before any response
-                # (RFC 9112 §9.3.1): send once more on a new one.
+            if conn is not None:
+                reply = conn.exchange(message)
+                if reply is None:
+                    # The peer closed the idle connection before any response
+                    # (RFC 9112 §9.3.1): send once more on a new one.
+                    conn.close()
+                    conn = None
+            if conn is None:
+                conn = self._connect(authority)
+                reply = conn.exchange(message)
+                if reply is None:
+                    raise ConnectionResetError("the peer closed the connection without a reply")
+            status_line, headers, body = reply
+            version, _, rest = status_line.partition(" ")
+            status = rest.partition(" ")[0]
+            if not (version.startswith("HTTP/1.") and status.isascii() and status.isdigit()
+                    and len(status) == 3):
+                raise _ProtocolError(502, f"malformed status line {status_line[:64]!r}")
+        except (OSError, _ProtocolError) as exc:
+            if conn is not None:
                 conn.close()
-                raw = _begin(conn, target, request)
-            resp_body = raw.read()
-        except OSError as exc:
-            conn.close()
             raise PeerUnreachableError(f"cannot reach {authority}: {exc}") from exc
         except BaseException:
-            conn.close()
+            if conn is not None:
+                conn.close()
             raise
-        if raw.will_close:
+        if headers.get("connection") == "close":
             conn.close()
         else:
             with self._idle_lock:
                 self._idle.setdefault(authority, []).append(conn)
-        resp_headers = {k.lower(): v for k, v in raw.getheaders() if k.lower() not in _HOP_HEADERS}
-        return WireResponse(status=raw.status, headers=resp_headers, body=resp_body)
+        resp_headers = {k: v for k, v in headers.items() if k not in _HOP_HEADERS}
+        return WireResponse(status=int(status), headers=resp_headers, body=body)
 
     def close(self) -> None:
         """Close every idle connection."""

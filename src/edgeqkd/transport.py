@@ -96,6 +96,8 @@ class Router:
             return fn(request, **params)
         except EdgeQkdError as exc:
             return error_response(exc)
+        except Exception as exc:  # component bug: surface as a 500 frame
+            return error_response(EdgeQkdError(f"unhandled error: {exc}"))
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +247,7 @@ class InprocTransport(Transport):
         router = self._components.get(authority)
         if router is None:
             return error_response(PeerUnreachableError(f"unknown component {authority!r}"))
-        try:
-            return router.dispatch(request)
-        except Exception as exc:  # component bug: surface as a 500 frame
-            return error_response(EdgeQkdError(f"unhandled error: {exc}"))
+        return router.dispatch(request)
 
 
 def raise_for_status(response: WireResponse) -> WireResponse:

@@ -82,10 +82,10 @@ def invoke(host, transport, inst, envelope, context_id=CTX):
     )
 
 
-def roundtrip(host, master, transport, clock, body, handler="fn-echo", policy=None):
+def roundtrip(host, master, transport, clock, body, handler="fn-echo", policy=None, suite=1):
     inst = host.deploy(app_doc(handler), handler, None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock, policy=policy)
+    ctx, kme, store = client_side(master, clock, policy=policy, suite=suite)
     envelope = channel.encrypt(ctx, body, store, kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
     reply = EncryptedEnvelope.from_bytes(response.body)
@@ -234,6 +234,30 @@ def test_reflected_reply_is_refused():
     assert reflected.status == 502
     assert b"auth-failure" in reflected.body
     assert "x-envelope" not in reflected.headers
+
+
+def test_reflected_otp_reply_is_refused():
+    # Opened as a request, a reflected pad reply would be answered under the
+    # reply half of the pad again: the pad would serve a second exchange.
+    host, master, transport, clock = build_host()
+    response, _, plaintext, _ = roundtrip(host, master, transport, clock, b"one pad",
+                                          suite=2)
+    assert plaintext == b"one pad"
+    reflected = invoke(host, transport, host.instances()[0],
+                       EncryptedEnvelope.from_bytes(response.body))
+    assert reflected.status == 404
+    assert b"unknown-key-id" in reflected.body
+    assert "x-envelope" not in reflected.headers
+
+
+def test_replayed_otp_request_is_refused():
+    host, master, transport, clock = build_host()
+    response, _, _, request = roundtrip(host, master, transport, clock, b"one pad", suite=2)
+    assert response.status == 200
+    replayed = invoke(host, transport, host.instances()[0], request)
+    assert replayed.status == 404
+    assert b"unknown-key-id" in replayed.body
+    assert "x-envelope" not in replayed.headers
 
 
 def test_malformed_envelope_consumes_no_key():

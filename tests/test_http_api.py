@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-import http.client
 import re
+import socket
 import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from edgeqkd.clock import SimulatedClock, SystemClock
 from edgeqkd.errors import AlreadyConsumedError, KeyExhaustedError, UnknownPeerError
 from edgeqkd.harness import ScenarioConfig, Stack, run_scenario
-from edgeqkd.httpd import ComponentHttpServer, HttpTransport
+from edgeqkd.httpd import MAX_BODY_BYTES, MAX_HEAD_BYTES, ComponentHttpServer, HttpTransport
 from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
-from edgeqkd.transport import Router, json_response, raise_for_status
+from edgeqkd.transport import Router, WireResponse, json_response, raise_for_status
 from edgeqkd.wire import dumps, loads
 
 from conftest import iter_frames
@@ -207,15 +209,15 @@ def _http_doc(workload, clock="simulated"):
 
 @pytest.fixture
 def connects(monkeypatch):
-    """Counts the TCP connections every HTTPConnection opens."""
+    """Counts the TCP connections every HttpTransport opens."""
     opened = []
-    connect = http.client.HTTPConnection.connect
+    connect = HttpTransport._connect
 
-    def counted(self):
-        opened.append(self.host)
-        return connect(self)
+    def counted(self, authority):
+        opened.append(authority)
+        return connect(self, authority)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counted)
+    monkeypatch.setattr(HttpTransport, "_connect", counted)
     return opened
 
 
@@ -248,7 +250,9 @@ def test_stale_pooled_connection_is_replaced_once(connects):
                                  url=server.base_url + "/n").status == 200
         handlers = _new_threads(before)
         # the server closes the idle connection the transport has pooled
-        server._server.end_connections()
+        with server._lock:
+            for sock in server._connections:
+                sock.shutdown(socket.SHUT_RDWR)
         for thread in handlers:
             thread.join(timeout=5)
             assert not thread.is_alive()
@@ -272,13 +276,17 @@ def test_stop_leaves_no_thread_behind_a_pooled_connection():
                              url=server.base_url + "/healthz").status == 404
     started = _new_threads(before)
     assert any(t.name == "httpd-linger" for t in started) and len(started) >= 2
+    # the transport still pools its connection: stop() must end it itself
     stopper = threading.Thread(target=server.stop, daemon=True)
+    began = time.monotonic()
     stopper.start()
     stopper.join(timeout=5)
     assert not stopper.is_alive()
+    assert time.monotonic() - began < 1.0
     for thread in started:
         thread.join(timeout=2)
     assert not [t.name for t in started if t.is_alive()]
+    assert not [t.name for t in _new_threads(before) if t.name.startswith("httpd-")]
     transport.close()
 
 
@@ -299,3 +307,118 @@ def test_concurrent_lanes_share_one_transport():
                 if record["channel"] == "client" and frame.kind == "RSP"]
     assert statuses == [200] * 32
     assert result.wiretap.passed
+
+
+def test_http_transcript_matches_inproc():
+    doc = loads((Path(__file__).resolve().parent.parent / "scenario.example.json").read_bytes())
+    runs = {}
+    for mode in ("inproc", "http"):
+        result = run_scenario(ScenarioConfig.from_doc({**doc, "transport": mode}))
+        assert result.metrics.requests_ok == result.metrics.requests_total
+        runs[mode] = [(r.ts, r.src, r.dst, r.channel,
+                       re.sub(rb"inproc://[\w-]+|http://127\.0\.0\.1:\d+", b"URL", r.payload))
+                      for r in result.records]
+    assert runs["http"] == runs["inproc"]
+
+
+def test_same_host_chain_over_http():
+    # the host's fn-echo instance calls its fn-upper instance on the same host
+    doc = _http_doc([], clock="real")
+    doc["catalog"][0]["chain_to"] = {"app_name": "fn-upper", "provider": "demo", "version": "1.0"}
+    doc["hosts"] = [{"host_id": "edge-a", "total_slots": 2}]
+    doc["bindings"] = doc["bindings"][:1]
+    stack = Stack.build(ScenarioConfig.from_doc(doc))
+    try:
+        began = time.monotonic()
+        for i in range(5):
+            response = stack.client_request("/echo", b"chained %d" % i)
+            assert (response.status, response.body) == (200, b"CHAINED %d" % i)
+        assert time.monotonic() - began < 3.0
+    finally:
+        stack.stop()
+
+
+@pytest.fixture
+def raw_server():
+    router = Router()
+    router.add("POST", "/echo", lambda request: WireResponse(200, body=request.body))
+    router.add("GET", "/q", lambda request: json_response(200, request.query))
+    router.add("GET", "/boom", lambda request: 1 // 0)
+    server = ComponentHttpServer("raw", router).start()
+    yield server
+    server.stop()
+
+
+def _raw(server, *writes):
+    """Send each write on its own over one raw socket; read until the server closes."""
+    host, port = server.base_url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        for data in writes:
+            sock.sendall(data)
+            time.sleep(0.02)  # let the server see each write on its own
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+def _responses(data):
+    """Split raw bytes into (status, headers, body) messages."""
+    out = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.lower().split(": ", 1) for line in lines)
+        size = int(headers["content-length"])
+        out.append((int(status_line.split(" ")[1]), headers, data[:size]))
+        data = data[size:]
+    return out
+
+
+def test_handler_bug_is_a_500_and_keeps_the_connection(raw_server, connects):
+    transport = HttpTransport(clock=SimulatedClock())
+    try:
+        response = transport.request(src="t", channel="mx2", method="GET",
+                                     url=raw_server.base_url + "/boom")
+        assert response.status == 500
+        assert b"unhandled error" in response.body
+        response = transport.request(src="t", channel="mx2", method="GET",
+                                     url=raw_server.base_url + "/q", query={"n": "2"})
+        assert loads(raise_for_status(response).body) == {"n": "2"}
+    finally:
+        transport.close()
+    assert len(connects) == 1
+
+
+def test_request_split_over_small_writes_is_served(raw_server):
+    writes = [b"POST /ec", b"ho HTTP/1.1\r\nhost: x\r", b"\ncontent-len", b"gth: 11\r\n",
+              b"connection: close\r\n\r", b"\nhello", b" world"]
+    [(status, _, body)] = _responses(_raw(raw_server, *writes))
+    assert (status, body) == (200, b"hello world")
+
+
+def test_pipelined_requests_are_answered_in_order(raw_server):
+    both = (b"GET /q?n=1 HTTP/1.1\r\nhost: x\r\n\r\n"
+            b"POST /echo HTTP/1.1\r\ncontent-length: 3\r\nconnection: close\r\n\r\ntwo")
+    replies = _responses(_raw(raw_server, both))
+    assert [(status, body) for status, _, body in replies] == [(200, b'{"n":"1"}'), (200, b"two")]
+
+
+@pytest.mark.parametrize("head, status", [
+    (b"GET /q HTTP/1.1\r\nx-pad: " + b"a" * MAX_HEAD_BYTES + b"\r\n\r\n", 431),
+    (b"POST /echo HTTP/1.1\r\ncontent-length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1), 413),
+    (b"GET /q\r\n\r\n", 400),
+    (b"GET /q HTTP/1.1 extra\r\n\r\n", 400),
+    (b"GET /q HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+    (b"POST /echo HTTP/1.1\r\ncontent-length: ten\r\n\r\n", 400),
+    (b"POST /echo HTTP/1.1\r\ncontent-length: -1\r\n\r\n", 400),
+], ids=["long-head", "long-body", "two-part-line", "four-part-line", "no-colon",
+        "word-length", "negative-length"])
+def test_hostile_request_is_answered_and_closed(raw_server, head, status):
+    [(got, headers, body)] = _responses(_raw(raw_server, head))  # _raw reads to EOF
+    assert got == status
+    assert headers["connection"] == "close"
+    assert loads(body)["code"] == "malformed"
+    # the server keeps serving other connections
+    [(got, _, body)] = _responses(_raw(raw_server, b"GET /q?ok=1 HTTP/1.1\r\nconnection: close\r\n\r\n"))
+    assert (got, body) == (200, b'{"ok":"1"}')
