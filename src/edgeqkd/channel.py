@@ -5,10 +5,12 @@ lowest suite id it offers that the table knows, fetches one key from its
 key-management entity, and payloads then travel as envelopes carrying
 (key_ID, cipher_suite, nonce, ciphertext) with no plaintext. As in ETSI GS
 QKD 014, no set-up message reaches the server: it fetches the key named by
-the first envelope lazily. A key's length fixes its suite: every suite in
-`SUITES` has its own key length, so on every envelope the server checks that
-the suite is known and that the stored key has that suite's length. Key
-identifiers and suite identifiers are not secret and travel in the clear.
+the first envelope lazily. `decrypt` and `encrypt_response` take the key
+bytes themselves; finding them is the caller's job. A key's length fixes its
+suite: every suite in `SUITES` has its own key length, so `suite_for` checks
+on every envelope that the suite is known and that the key has that suite's
+length. Key identifiers and suite identifiers are not secret and travel in
+the clear.
 
 An envelope is sent as `application/octet-stream`, with a header in the
 manner of RFC 8188 §2.1: one version byte (1), one suite-id byte, then the
@@ -18,8 +20,9 @@ body is the ciphertext.
 
 Keys are refreshed per policy: after `max_uses` encryptions or once the
 current key is older than `max_age_sec`, the next encryption fetches a
-fresh key first. Refresh is atomic per context, so racing encryptions
-never consume two keys for one rollover.
+fresh key first and drops the retired one from the client's store, so the
+store holds one key per context. Refresh is atomic per context, so racing
+encryptions never consume two keys for one rollover.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from .errors import (
     MalformedError,
     MessageTooLongError,
     NoCommonSuiteError,
-    NotFoundError,
-    UnknownKeyIdError,
 )
 from .keystore import KeyStore
 
@@ -104,7 +105,6 @@ class SecurityContext:
     current_key_id: str = ""
     established_at: float = 0.0  # when the current key was bound
     uses: int = 0
-    issued_key_ids: list[str] = field(default_factory=list)
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
 
@@ -177,13 +177,14 @@ def establish_context(client_sae: str, server_sae: str, offered_suites: Sequence
 
 
 def _roll_over(ctx: SecurityContext, kme, key_store: KeyStore, now: float) -> None:
-    """Fetch one key of the suite's length, store it and make it current."""
+    """Fetch one key of the suite's length, store it and make it current; the
+    retired key leaves the store (requests in flight hold its bytes)."""
     (key_id, key_bits), = kme.get_enc_keys(ctx.server_sae, size=ctx.suite.key_length, number=1)
     key_store.put(key_id, key_bits)
+    key_store.purge([ctx.current_key_id])
     ctx.current_key_id = key_id
     ctx.uses = 0
     ctx.established_at = now
-    ctx.issued_key_ids.append(key_id)
 
 
 def _request_nonce(counter: int) -> bytes:
@@ -251,29 +252,25 @@ def encrypt(ctx: SecurityContext, plaintext: bytes, key_store: KeyStore, kme, *,
         )
 
 
-def _stored_key(envelope: EncryptedEnvelope, key_store: KeyStore) -> tuple[CipherSuite, bytes]:
-    """The suite and key an envelope names: the suite is known, the key is
-    stored, and the key has that suite's length."""
+def suite_for(envelope: EncryptedEnvelope, key_bits: bytes) -> CipherSuite:
+    """The suite an envelope names, checked against the key it names: the
+    suite is known and the key has that suite's length."""
     suite = SUITES.get(envelope.suite_id)
     if suite is None:
         raise MalformedError(f"unknown cipher suite {envelope.suite_id}")
-    try:
-        key_bits = key_store.get(envelope.key_id).key_bits
-    except NotFoundError:
-        raise UnknownKeyIdError(f"key {envelope.key_id} not in store")
     if len(key_bits) * 8 != suite.key_length:
         # stops a cached AEAD key from being replayed through the pad path
         raise AuthFailureError("cipher suite does not match the stored key")
-    return suite, key_bits
+    return suite
 
 
-def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, *,
+def decrypt(envelope: EncryptedEnvelope, key_bits: bytes, *,
             response: bool = False) -> bytes:
-    """Open an envelope under its stored key; the caller resolves the key first.
+    """Open an envelope under the key it names.
 
     `response` selects the reply direction (nonce space and pad half).
     """
-    suite, key_bits = _stored_key(envelope, key_store)
+    suite = suite_for(envelope, key_bits)
     direction = _DIR_RESPONSE if response else _DIR_REQUEST
     if suite.mode == MODE_AEAD and envelope.nonce[:1] != bytes([direction]):
         # a reply sent back as a request would get its answer sealed under
@@ -284,16 +281,10 @@ def decrypt(envelope: EncryptedEnvelope, key_store: KeyStore, *,
                  response=response)
 
 
-def single_use(envelope: EncryptedEnvelope) -> bool:
-    """True when the envelope's key serves one exchange only (the one-time pad)."""
-    suite = SUITES.get(envelope.suite_id)
-    return suite is not None and suite.mode == MODE_OTP
-
-
 def encrypt_response(request_envelope: EncryptedEnvelope, plaintext: bytes,
-                     key_store: KeyStore, sender_sae: str) -> EncryptedEnvelope:
-    """Seal a reply under the same key the request used (distinct nonce direction)."""
-    suite, key_bits = _stored_key(request_envelope, key_store)
+                     key_bits: bytes, sender_sae: str) -> EncryptedEnvelope:
+    """Seal a reply under the key the request used (distinct nonce direction)."""
+    suite = suite_for(request_envelope, key_bits)
     if suite.mode == MODE_OTP:
         # both directions share one pad; they must not overlap
         if len(request_envelope.ciphertext) + len(plaintext) > len(key_bits):

@@ -4,9 +4,11 @@ Client programs speak plain HTTP to the gateway and never see anything
 else. On the first request for a route the gateway discovers the
 application, creates an application context, picks the lowest offered
 cipher suite, and binds a key; afterwards it encrypts request bodies,
-invokes the remote instance, and decrypts responses, rolling keys per the
-refresh policy. Establishment is single-flight per route, so a burst of
-first requests costs exactly one context and one key.
+invokes the remote instance, and decrypts responses with the bytes of the
+key that sealed the request, rolling keys per the refresh policy. A rollover
+drops the retired key, so the gateway's store holds one key per route.
+Establishment is single-flight per route, so a burst of first requests
+costs exactly one context and one key.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .clock import Clock
 from .control import Mx2Client
 from .errors import (
     AppNotFoundError,
+    AuthFailureError,
     ContextDeletedError,
     EdgeQkdError,
     KeyExhaustedError,
@@ -81,7 +84,7 @@ class Gateway:
     def binding_for(self, path: str) -> RouteBinding:
         for binding in self._bindings:
             prefix = binding.path_prefix.rstrip("/")
-            if path == prefix or path.startswith(prefix + "/") or path == prefix + "/":
+            if path == prefix or path.startswith(prefix + "/"):
                 return binding
         raise NoRouteError(f"no route bound for {path}")
 
@@ -111,7 +114,7 @@ class Gateway:
     def _purge_binding(self, binding: RouteBinding) -> None:
         with binding.lock:
             if binding.security is not None:
-                self._store.purge(binding.security.issued_key_ids)
+                self._store.purge([binding.security.current_key_id])
             binding.security = None
             binding.context_id = None
             binding.endpoint_uri = None
@@ -165,7 +168,10 @@ class Gateway:
     def _invoke_secure(self, binding: RouteBinding, body: bytes) -> WireResponse:
         assert binding.security is not None and binding.endpoint_uri is not None
         ctx = binding.security
-        envelope = channel.encrypt(ctx, body, self._store, self._kme, clock=self._clock)
+        with ctx.lock:
+            # read the key's bytes before a later rollover purges it
+            envelope = channel.encrypt(ctx, body, self._store, self._kme, clock=self._clock)
+            key_bits = self._store.get(envelope.key_id).key_bits
         response = self._transport.request(
             src=self._component, channel="data", method="POST",
             url=binding.endpoint_uri + "/invoke", body=envelope.to_bytes(),
@@ -174,7 +180,9 @@ class Gateway:
         )
         if response.headers.get("x-envelope") == "1":
             reply = channel.EncryptedEnvelope.from_bytes(response.body)
-            plaintext = channel.decrypt(reply, self._store, response=True)
+            if reply.key_id != envelope.key_id:
+                raise AuthFailureError("reply is sealed under another key")
+            plaintext = channel.decrypt(reply, key_bits, response=True)
             # a sealed handler failure surfaces its decrypted JSON error body
             content_type = "application/octet-stream" if response.status == 200 else "application/json"
             return WireResponse(status=response.status, headers={"content-type": content_type},

@@ -273,22 +273,17 @@ class Stack:
             master_sae=MASTER_SAE, slave_sae=SLAVE_SAE,
         )
 
+        names = ["kme-client", "kme-mec", "lcmp", "gateway"] + [h.host_id for h in config.hosts]
         servers: list[ComponentHttpServer] = []
         if config.transport_mode == "http":
             transport = HttpTransport(transcript, clock)
-            server_map: dict[str, ComponentHttpServer] = {}
-            names = ["kme-client", "kme-mec", "lcmp", "gateway"] + [h.host_id for h in config.hosts]
-            for name in names:
-                server = ComponentHttpServer(name)
-                server_map[name] = server
-                servers.append(server)
-                transport.register_name(server.base_url.removeprefix("http://"), name)
-            url_of = {name: server.base_url for name, server in server_map.items()}
+            servers = [ComponentHttpServer(name) for name in names]
+            for server in servers:
+                transport.register_name(server.base_url.removeprefix("http://"), server.name)
+            url_of = {server.name: server.base_url for server in servers}
         else:
             transport = InprocTransport(transcript, clock)
-            url_of = {name: f"inproc://{name}"
-                      for name in ["kme-client", "kme-mec", "lcmp", "gateway"]
-                      + [h.host_id for h in config.hosts]}
+            url_of = {name: f"inproc://{name}" for name in names}
 
         catalog = Catalog(config.catalog)
 

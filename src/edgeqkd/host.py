@@ -1,13 +1,15 @@
 """Edge execution node: function instances behind a decrypting entry point.
 
 Every request reaching an instance is an encrypted envelope. The host
-resolves the key (local store first, then a consume-once fetch from its
-key-management entity, single-flight per key id), decrypts, runs the
-registered handler, optionally forwards the intermediate result one hop to
-a chained instance inside the same perimeter, and seals the result under
-the same key the request used. Nothing leaves the host toward the client
-domain in the clear, handler failures included. A one-time pad serves one
-request: once an envelope has been opened under it, the pad leaves the store.
+claims the key it names under one lock: a store lookup, on a miss a
+consume-once fetch from its key-management entity, the check that the key
+fits the named suite, and, for a one-time pad, its removal from the store.
+Only then does it decrypt, run the registered handler, optionally forward
+the intermediate result one hop to a chained instance inside the same
+perimeter, and seal the result under the same key bytes. Nothing leaves the
+host toward the client domain in the clear, handler failures included. So a
+pad serves one request: a second copy of a pad envelope, concurrent or
+later, finds no key and gets 404 `unknown-key-id` before any handler runs.
 """
 
 from __future__ import annotations
@@ -72,14 +74,6 @@ class MecAppInstance:
     active_contexts: set[str] = field(default_factory=set)
 
 
-class _Inflight:
-    """Coordination record for single-flight key fetches."""
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.error: Exception | None = None
-
-
 class MecHost:
     def __init__(self, host_id: str, total_slots: int, *, base_url: str,
                  sae_id: str, kme, key_store: KeyStore,
@@ -97,8 +91,7 @@ class MecHost:
         self._instances: dict[str, MecAppInstance] = {}  # by path segment
         self._seq = 0
         self._lock = threading.RLock()
-        self._inflight: dict[str, _Inflight] = {}
-        self._inflight_lock = threading.Lock()
+        self._key_lock = threading.Lock()
         self.dec_fetches = 0
 
     # -- management ------------------------------------------------------------
@@ -156,34 +149,29 @@ class MecHost:
 
     # -- key handling ------------------------------------------------------------
 
-    def _resolve_key(self, key_id: str) -> None:
-        """Fetch-and-cache a key by id; concurrent callers share one fetch."""
-        if key_id in self._store:
-            return
-        with self._inflight_lock:
-            flight = self._inflight.get(key_id)
-            leader = flight is None
-            if leader:
-                flight = _Inflight()
-                self._inflight[key_id] = flight
-        if not leader:
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            return
-        try:
-            if key_id not in self._store:
-                fetched = self._kme.get_dec_keys(self.master_sae, [key_id])
+    def _claim_key(self, envelope: channel.EncryptedEnvelope) -> bytes:
+        """The key bytes an envelope names, checked against its suite.
+
+        One lock covers lookup, fetch and claim, so concurrent envelopes under
+        an unseen key share one consume-once fetch, and a pad is taken from
+        the store by exactly one of them. A pad is claimed only once its
+        length check has passed, so a forged suite on a seen key burns nothing.
+        """
+        with self._key_lock:
+            try:
+                key_bits = self._store.get(envelope.key_id).key_bits
+            except NotFoundError:
+                try:
+                    (_, key_bits), = self._kme.get_dec_keys(self.master_sae, [envelope.key_id])
+                except AlreadyConsumedError as exc:
+                    # consumption state is internal to the key plane; callers
+                    # only learn that the key cannot be obtained
+                    raise UnknownKeyIdError(str(exc)) from exc
                 self.dec_fetches += 1
-                _, key_bits = fetched[0]
-                self._store.put(key_id, key_bits)
-        except Exception as exc:
-            flight.error = exc
-            raise
-        finally:
-            flight.event.set()
-            with self._inflight_lock:
-                self._inflight.pop(key_id, None)
+                self._store.put(envelope.key_id, key_bits)
+            if channel.suite_for(envelope, key_bits).mode == channel.MODE_OTP:
+                self._store.purge([envelope.key_id])
+        return key_bits
 
     # -- invocation ----------------------------------------------------------------
 
@@ -191,28 +179,17 @@ class MecHost:
                envelope: channel.EncryptedEnvelope) -> WireResponse:
         if context_id is None or context_id not in instance.active_contexts:
             raise ContextDeletedError("no active application context for this instance")
-        try:
-            self._resolve_key(envelope.key_id)
-        except (UnknownKeyIdError, AlreadyConsumedError) as exc:
-            # consumption state is internal to the key plane; callers only
-            # learn that the key cannot be obtained
-            raise UnknownKeyIdError(str(exc)) from exc
-        plaintext = channel.decrypt(envelope, self._store)
+        key_bits = self._claim_key(envelope)
+        plaintext = channel.decrypt(envelope, key_bits)
         headers = {"content-type": "application/octet-stream", "x-envelope": "1"}
         try:
-            try:
-                status, result = 200, self._run(instance, plaintext)
-            except EdgeQkdError as exc:
-                # whatever went wrong mid-execution, the detail leaves sealed only
-                failure = error_response(HandlerError(exc.message))
-                status, result = failure.status, failure.body
-                headers["x-error-code"] = HandlerError.code
-            sealed = channel.encrypt_response(envelope, result, self._store, self.sae_id)
-        finally:
-            if channel.single_use(envelope):
-                # a pad serves one request: a replayed request or a reflected
-                # reply would refetch the key, and the KME refuses a consumed one
-                self._store.purge([envelope.key_id])
+            status, result = 200, self._run(instance, plaintext)
+        except EdgeQkdError as exc:
+            # whatever went wrong mid-execution, the detail leaves sealed only
+            failure = error_response(HandlerError(exc.message))
+            status, result = failure.status, failure.body
+            headers["x-error-code"] = HandlerError.code
+        sealed = channel.encrypt_response(envelope, result, key_bits, self.sae_id)
         return WireResponse(status=status, headers=headers, body=sealed.to_bytes())
 
     def _run(self, instance: MecAppInstance, payload: bytes) -> bytes:
@@ -250,27 +227,37 @@ class MecHost:
         router.add("GET", "/apps/{segment}/healthz", self._w_healthz)
         return router
 
-    def _w_deploy(self, request: WireRequest):
+    @staticmethod
+    def _mgmt_body(request: WireRequest, *names: str) -> dict:
+        """A management body: a JSON object whose `names` are non-empty strings."""
         doc = loads(request.body)
-        if not isinstance(doc, dict) or not isinstance(doc.get("app"), dict):
+        if not isinstance(doc, dict):
+            raise MalformedError("management body must be a JSON object")
+        for name in names:
+            if not isinstance(doc.get(name), str) or not doc[name]:
+                raise MalformedError(f"management body needs a non-empty {name!r}")
+        return doc
+
+    def _w_deploy(self, request: WireRequest):
+        doc = self._mgmt_body(request)
+        if not isinstance(doc.get("app"), dict):
             raise MalformedError("deploy body must carry an app object")
         handler_name = str(doc.get("handler", doc["app"].get("app_name", "")))
         instance = self.deploy(doc["app"], handler_name, doc.get("chain_uri"))
         return json_response(200, {"uri": instance.uri})
 
     def _w_undeploy(self, request: WireRequest):
-        doc = loads(request.body)
-        self.undeploy(str(doc.get("uri", "")))
+        self.undeploy(self._mgmt_body(request, "uri")["uri"])
         return json_response(200, {})
 
     def _w_attach(self, request: WireRequest):
-        doc = loads(request.body)
-        self.attach_context(str(doc.get("uri", "")), str(doc.get("context_id", "")))
+        doc = self._mgmt_body(request, "uri", "context_id")
+        self.attach_context(doc["uri"], doc["context_id"])
         return json_response(200, {})
 
     def _w_detach(self, request: WireRequest):
-        doc = loads(request.body)
-        self.detach_context(str(doc.get("uri", "")), str(doc.get("context_id", "")))
+        doc = self._mgmt_body(request, "uri", "context_id")
+        self.detach_context(doc["uri"], doc["context_id"])
         return json_response(200, {})
 
     def _w_invoke(self, request: WireRequest, segment: str):

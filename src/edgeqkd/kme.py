@@ -207,7 +207,7 @@ class KmePair:
     def status(self, peer_sae: str, expected_peer: str, key_length: int | None = None) -> KmeStatus:
         if peer_sae != expected_peer:
             raise UnknownPeerError(f"unknown peer {peer_sae!r}")
-        length = key_length or DEFAULT_KEY_LENGTH
+        length = DEFAULT_KEY_LENGTH if key_length is None else key_length
         if length <= 0 or length % 8 != 0:
             raise BadLengthError(f"key length {length} is not a positive multiple of 8")
         with self._lock:
@@ -319,7 +319,7 @@ class KmeApi:
             raise BadLengthError("enc_keys body must be an object")
         number = doc.get("number", 1)
         size = doc.get("size", DEFAULT_KEY_LENGTH)
-        if not isinstance(number, int) or not isinstance(size, int):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (number, size)):
             raise BadLengthError("number and size must be integers")
         keys = self._handle.get_enc_keys(self._handle.local_sae, peer, size, number)
         return _json_ok(encode_key_container(keys))

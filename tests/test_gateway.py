@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import threading
+import uuid
+from dataclasses import replace
 
+from edgeqkd.channel import EncryptedEnvelope
 from edgeqkd.harness import ScenarioConfig, Stack
 from edgeqkd.host import BUILTIN_HANDLERS
+from edgeqkd.transport import Router, WireResponse
+from edgeqkd.wire import loads
 
 from conftest import iter_frames
 
@@ -148,10 +153,9 @@ def test_teardown_purges_and_reestablishes():
     binding = stack.gateway.binding_for("/echo")
     old_context = binding.context_id
     old_key = binding.security.current_key_id
-    issued = list(binding.security.issued_key_ids)
     stack.gateway.teardown(binding)
     assert binding.context_id is None and binding.security is None
-    assert all(kid not in stack.gateway._store for kid in issued)
+    assert old_key not in stack.gateway._store
     response = stack.client_request("/echo", b"two")
     assert response.status == 200 and response.body == b"two"
     assert binding.context_id != old_context
@@ -160,6 +164,39 @@ def test_teardown_purges_and_reestablishes():
     # double teardown: success with a warning, no raise
     stack.gateway.teardown(binding)
     stack.gateway.teardown(binding)
+
+
+def test_client_store_holds_one_key_per_route():
+    # each rollover drops the retired key; teardown drops the current one
+    stack = build(policy={"max_uses": 1, "max_age_sec": 3600})
+    for i in range(20):
+        assert stack.client_request("/echo", b"m%d" % i).status == 200
+    assert keys_dispensed(stack) == 20
+    assert len(stack.gateway._store) == 1
+    stack.gateway.teardown(stack.gateway.binding_for("/echo"))
+    assert len(stack.gateway._store) == 0
+
+
+def test_reply_under_another_key_is_refused():
+    # with the pad suite the reply's bytes would open under the request's pad
+    # whatever key_ID it names, so the gateway must compare the key_IDs
+    stack = build(offered_suites=[2])
+    assert stack.client_request("/echo", b"first").status == 200
+    host_router = stack.hosts["edge-a"].router()
+
+    def relabel(request, segment):
+        response = host_router.dispatch(request)
+        reply = EncryptedEnvelope.from_bytes(response.body)
+        other = replace(reply, key_id=str(uuid.uuid4()))
+        return WireResponse(status=response.status, headers=response.headers,
+                            body=other.to_bytes())
+
+    stub = Router()
+    stub.add("POST", "/apps/{segment}/invoke", relabel)
+    stack.transport._components["edge-a"] = stub  # the stub answers as the host
+    response = stack.client_request("/echo", b"second")
+    assert response.status == 502
+    assert loads(response.body)["code"] == "auth-failure"
 
 
 def test_delete_behind_gateways_back_triggers_reestablishment():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import base64
+import sys
 import threading
+import time
+import uuid
 
 import pytest
 
@@ -25,7 +28,7 @@ SEED = b"\x33" * 32
 CTX = "11111111-2222-4333-8444-555555555555"
 
 
-def build_host(clock=None, slots=4, max_age=3600.0):
+def build_host(clock=None, slots=4, max_age=3600.0, handlers=None):
     clock = clock or SimulatedClock()
     transport = InprocTransport(clock=clock)
     master, slave = new_kme_pair(SEED, 0, 1 << 20, clock=clock)
@@ -33,7 +36,8 @@ def build_host(clock=None, slots=4, max_age=3600.0):
     host = MecHost("edge-a", slots, base_url="inproc://edge-a", sae_id="sae-mec",
                    kme=KmeClient(transport, src="edge-a", base_url="inproc://kme-mec",
                                  channel="qkd"),
-                   key_store=KeyStore(clock, max_age), transport=transport)
+                   key_store=KeyStore(clock, max_age), transport=transport,
+                   handlers=handlers)
     transport.register("edge-a", host.router())
     return host, master, transport, clock
 
@@ -50,6 +54,21 @@ def client_side(master, clock, policy=None, suite=1):
 
 def app_doc(name="fn-echo", slots=1):
     return {"app_name": name, "provider": "demo", "version": "1.0", "required_slots": slots}
+
+
+def key_of(envelope, store):
+    return store.get(envelope.key_id).key_bits
+
+
+def recording_handler(delay=0.0):
+    calls = []
+
+    def handler(body):
+        calls.append(body)
+        time.sleep(delay)
+        return body
+
+    return handler, calls
 
 
 def test_deploy_assigns_sequential_uris():
@@ -89,7 +108,7 @@ def roundtrip(host, master, transport, clock, body, handler="fn-echo", policy=No
     envelope = channel.encrypt(ctx, body, store, kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
     reply = EncryptedEnvelope.from_bytes(response.body)
-    plaintext = channel.decrypt(reply, store, response=True)
+    plaintext = channel.decrypt(reply, key_of(reply, store), response=True)
     return response, reply, plaintext, envelope
 
 
@@ -126,7 +145,7 @@ def test_handler_error_is_encrypted():
     assert response.headers.get("x-envelope") == "1"
     assert secret not in response.body  # failure detail leaves only sealed
     reply = EncryptedEnvelope.from_bytes(response.body)
-    detail = loads(channel.decrypt(reply, store, response=True))
+    detail = loads(channel.decrypt(reply, key_of(reply, store), response=True))
     assert detail["code"] == "handler-error"
     assert "not JSON" in detail["message"]  # the shape of every other error body
 
@@ -214,7 +233,7 @@ def test_forged_suite_on_a_seen_key_does_not_block_the_genuine_request():
     response = invoke(host, transport, inst, genuine)
     assert response.status == 200
     reply = EncryptedEnvelope.from_bytes(response.body)
-    assert channel.decrypt(reply, store, response=True) == b"genuine request"
+    assert channel.decrypt(reply, key_of(reply, store), response=True) == b"genuine request"
 
 
 def test_reflected_reply_is_refused():
@@ -258,6 +277,119 @@ def test_replayed_otp_request_is_refused():
     assert replayed.status == 404
     assert b"unknown-key-id" in replayed.body
     assert "x-envelope" not in replayed.headers
+
+
+def test_concurrent_pad_envelopes_run_the_handler_once():
+    # the pad is claimed before the handler runs, so of two copies of one pad
+    # envelope in flight at once, exactly one reaches the handler
+    handler, calls = recording_handler(delay=0.2)
+    host, master, transport, clock = build_host(handlers={"fn-slow": handler})
+    inst = host.deploy(app_doc("fn-slow"), "fn-slow", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme, store = client_side(master, clock, suite=2)
+    envelope = channel.encrypt(ctx, b"one pad", store, kme, clock=clock)
+    barrier = threading.Barrier(2)
+    responses = []
+    lock = threading.Lock()
+
+    def worker():
+        barrier.wait(timeout=10)
+        response = invoke(host, transport, inst, envelope)
+        with lock:
+            responses.append(response)
+
+    threads = [threading.Thread(target=worker) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    responses.sort(key=lambda r: r.status)
+    assert [r.status for r in responses] == [200, 404]
+    assert b"unknown-key-id" in responses[1].body
+    assert calls == [b"one pad"]
+
+
+def test_each_pad_serves_one_request_under_contention():
+    # eight threads each send every one of four pad envelopes, with frequent
+    # thread switches: each pad reaches the handler once and is fetched once
+    handler, calls = recording_handler()
+    host, master, transport, clock = build_host(handlers={"fn-rec": handler})
+    inst = host.deploy(app_doc("fn-rec"), "fn-rec", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme, store = client_side(master, clock, suite=2)
+    envelopes = [channel.encrypt(ctx, b"pad %d" % i, store, kme, clock=clock) for i in range(4)]
+    barrier = threading.Barrier(8)
+    statuses = []
+    lock = threading.Lock()
+
+    def worker(order):
+        barrier.wait(timeout=10)
+        for envelope in order:
+            status = invoke(host, transport, inst, envelope).status
+            with lock:
+                statuses.append(status)
+
+    threads = [threading.Thread(target=worker, args=(envelopes[i % 4:] + envelopes[:i % 4],))
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(statuses) == [200] * 4 + [404] * 28
+    assert sorted(calls) == [b"pad %d" % i for i in range(4)]
+    assert host.dec_fetches == 4
+
+
+def _envelope_under_other_context_key(host, transport, inst, master, clock, ctx, kme, store):
+    # key B belongs to a second context and was released to another caller
+    other = establish_context("sae-client", "sae-mec", [1], kme, store,
+                              RefreshPolicy(10, 3600), clock=clock)
+    master.pair.release("sae-mec", "sae-client", [other.current_key_id])
+    envelope = channel.encrypt(ctx, b"addressed to context A!", store, kme, clock=clock)
+    return EncryptedEnvelope(other.current_key_id, envelope.suite_id, envelope.nonce,
+                             envelope.ciphertext, envelope.sender_sae)
+
+
+def _envelope_under_unissued_key(host, transport, inst, master, clock, ctx, kme, store):
+    envelope = channel.encrypt(ctx, b"no source", store, kme, clock=clock)
+    return EncryptedEnvelope(str(uuid.uuid4()), envelope.suite_id, envelope.nonce,
+                             envelope.ciphertext, envelope.sender_sae)
+
+
+def _envelope_under_evicted_key(host, transport, inst, master, clock, ctx, kme, store):
+    # the host fetched the key (the KME released it), then its store evicted
+    # it: nothing can open the next request or seal its reply
+    first = channel.encrypt(ctx, b"first", store, kme, clock=clock)
+    assert invoke(host, transport, inst, first).status == 200
+    clock.advance(6)
+    return channel.encrypt(ctx, b"second", store, kme, clock=clock)
+
+
+@pytest.mark.parametrize("make_envelope", [
+    _envelope_under_other_context_key,
+    _envelope_under_unissued_key,
+    _envelope_under_evicted_key,
+], ids=["other-context", "no-source", "evicted"])
+def test_unobtainable_key_is_unknown_and_runs_no_handler(make_envelope):
+    handler, calls = recording_handler()
+    host, master, transport, clock = build_host(max_age=5.0, handlers={"fn-rec": handler})
+    inst = host.deploy(app_doc("fn-rec"), "fn-rec", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme, store = client_side(master, clock)
+    envelope = make_envelope(host, transport, inst, master, clock, ctx, kme, store)
+    handled = len(calls)
+    response = invoke(host, transport, inst, envelope)
+    assert response.status == 404
+    assert loads(response.body)["code"] == "unknown-key-id"
+    assert "x-envelope" not in response.headers
+    assert len(calls) == handled
 
 
 def test_malformed_envelope_consumes_no_key():
@@ -308,7 +440,7 @@ def test_chained_hop():
     envelope = channel.encrypt(ctx, b"chained text", store, kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
     reply = EncryptedEnvelope.from_bytes(response.body)
-    assert channel.decrypt(reply, store, response=True) == b"CHAINED TEXT"
+    assert channel.decrypt(reply, key_of(reply, store), response=True) == b"CHAINED TEXT"
 
 
 def test_healthz_and_undeploy():
@@ -345,6 +477,32 @@ def test_mgmt_wire_surface():
         )
         raise_for_status(response)
     assert host.used_slots == 0
+
+
+@pytest.mark.parametrize("verb, payload", [
+    ("undeploy", []),
+    ("attach", []),
+    ("detach", []),
+    ("undeploy", {}),
+    ("undeploy", {"uri": ""}),
+    ("attach", {"uri": "inproc://edge-a/apps/fn-echo-1"}),
+    ("attach", {"context_id": CTX}),
+    ("detach", {"uri": "inproc://edge-a/apps/fn-echo-1", "context_id": ""}),
+], ids=["undeploy-list", "attach-list", "detach-list", "undeploy-no-uri",
+        "undeploy-empty-uri", "attach-no-context", "attach-no-uri", "detach-empty-context"])
+def test_mgmt_body_without_its_fields_is_malformed(verb, payload):
+    host, _, transport, _ = build_host()
+    inst = host.deploy(app_doc(), "fn-echo", None)
+    assert inst.uri == "inproc://edge-a/apps/fn-echo-1"
+    host.attach_context(inst.uri, CTX)
+    response = transport.request(
+        src="lcmp", channel="mec-internal", method="POST",
+        url=f"inproc://edge-a/mgmt/v1/{verb}", body=dumps(payload),
+    )
+    assert response.status == 400
+    assert loads(response.body)["code"] == "malformed"
+    assert host.instances() == [inst]
+    assert inst.active_contexts == {CTX}
 
 
 def test_builtin_handlers_reject_bad_sum_input():

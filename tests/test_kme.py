@@ -16,7 +16,9 @@ from edgeqkd.errors import (
     UnknownPeerError,
     WrongPeerError,
 )
-from edgeqkd.kme import EntropyPool, new_kme_pair
+from edgeqkd.kme import EntropyPool, KmeApi, new_kme_pair
+from edgeqkd.transport import InprocTransport
+from edgeqkd.wire import dumps, loads
 
 SEED = b"\x42" * 32
 
@@ -143,6 +145,21 @@ def test_status_after_accrual():
     expected = (2 * 1000) // 256  # independent token-bucket arithmetic
     assert expected == 7
     assert slave.get_status("sae-client", 256).stored_key_count == expected
+
+
+@pytest.mark.parametrize("method, path, body", [
+    ("GET", "/api/v1/keys/sae-mec/status?size=0", b""),
+    ("POST", "/api/v1/keys/sae-mec/enc_keys", dumps({"number": True, "size": 256})),
+], ids=["status-size-zero", "enc-keys-boolean-number"])
+def test_rest_rejects_a_zero_or_boolean_number(method, path, body):
+    master, _ = make_pair()
+    transport = InprocTransport(clock=SimulatedClock())
+    transport.register("kme-client", KmeApi(master).router())
+    response = transport.request(src="gateway", channel="qkd", method=method,
+                                 url="inproc://kme-client" + path, body=body)
+    assert response.status == 400
+    assert loads(response.body)["code"] == "bad-length"
+    assert master.pair.dispensed_keys == 0
 
 
 def test_status_unknown_peer():
