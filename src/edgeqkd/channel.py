@@ -20,9 +20,8 @@ body is the ciphertext.
 
 Keys are refreshed per policy: after `max_uses` encryptions or once the
 current key is older than `max_age_sec`, the next encryption fetches a
-fresh key first and drops the retired one from the client's store, so the
-store holds one key per context. Refresh is atomic per context, so racing
-encryptions never consume two keys for one rollover.
+fresh key in place of the one the security context holds. Refresh is atomic
+per context, so racing encryptions never consume two keys for one rollover.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .errors import (
     MessageTooLongError,
     NoCommonSuiteError,
 )
-from .keystore import KeyStore
 
 MODE_AEAD = "aead"
 MODE_OTP = "one-time-pad"
@@ -103,6 +101,7 @@ class SecurityContext:
     suite: CipherSuite
     policy: RefreshPolicy
     current_key_id: str = ""
+    key_bits: bytes = field(default=b"", repr=False)  # the current key's bytes
     established_at: float = 0.0  # when the current key was bound
     uses: int = 0
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
@@ -157,14 +156,13 @@ def should_refresh(ctx: SecurityContext, now: float) -> bool:
 
 
 def establish_context(client_sae: str, server_sae: str, offered_suites: Sequence[int],
-                      kme, key_store: KeyStore, policy: RefreshPolicy, *,
-                      clock: Clock) -> SecurityContext:
+                      kme, policy: RefreshPolicy, *, clock: Clock) -> SecurityContext:
     """Create a security context on the client side.
 
     The suite is the lowest offered id in `SUITES`; the server needs no
     set-up message because every envelope names its suite. One key is
-    fetched eagerly and cached in the caller's key store; the server side
-    fetches its copy lazily when the first envelope names its key id.
+    fetched eagerly and held by the context; the server side fetches its
+    copy lazily when the first envelope names its key id.
     """
     suite = SUITES[negotiate(offered_suites, list(SUITES))]
     if suite.mode == MODE_OTP:
@@ -172,17 +170,14 @@ def establish_context(client_sae: str, server_sae: str, offered_suites: Sequence
         policy = replace(policy, max_uses=1)
     ctx = SecurityContext(client_sae=client_sae, server_sae=server_sae, suite=suite,
                           policy=policy)
-    _roll_over(ctx, kme, key_store, clock.now())
+    _roll_over(ctx, kme, clock.now())
     return ctx
 
 
-def _roll_over(ctx: SecurityContext, kme, key_store: KeyStore, now: float) -> None:
-    """Fetch one key of the suite's length, store it and make it current; the
-    retired key leaves the store (requests in flight hold its bytes)."""
-    (key_id, key_bits), = kme.get_enc_keys(ctx.server_sae, size=ctx.suite.key_length, number=1)
-    key_store.put(key_id, key_bits)
-    key_store.purge([ctx.current_key_id])
-    ctx.current_key_id = key_id
+def _roll_over(ctx: SecurityContext, kme, now: float) -> None:
+    """Replace the current key (requests in flight hold its bytes) with a fresh one."""
+    (ctx.current_key_id, ctx.key_bits), = kme.get_enc_keys(
+        ctx.server_sae, size=ctx.suite.key_length, number=1)
     ctx.uses = 0
     ctx.established_at = now
 
@@ -234,17 +229,16 @@ def _open(suite: CipherSuite, key_bits: bytes, nonce: bytes, ciphertext: bytes,
     return _xor(ciphertext, _pad_slice(key_bits, len(ciphertext), response))
 
 
-def encrypt(ctx: SecurityContext, plaintext: bytes, key_store: KeyStore, kme, *,
+def encrypt(ctx: SecurityContext, plaintext: bytes, kme, *,
             clock: Clock) -> EncryptedEnvelope:
     """Encrypt under the context's current key, rolling it over first if due."""
     with ctx.lock:
         now = clock.now()
         if should_refresh(ctx, now):
-            _roll_over(ctx, kme, key_store, now)
-        entry = key_store.get(ctx.current_key_id)
+            _roll_over(ctx, kme, now)
         nonce = _request_nonce(ctx.uses) if ctx.suite.mode == MODE_AEAD else b""
         aad = _aad(ctx.current_key_id, ctx.suite.suite_id, ctx.client_sae)
-        ciphertext = _seal(ctx.suite, entry.key_bits, nonce, plaintext, aad)
+        ciphertext = _seal(ctx.suite, ctx.key_bits, nonce, plaintext, aad)
         ctx.uses += 1
         return EncryptedEnvelope(
             key_id=ctx.current_key_id, suite_id=ctx.suite.suite_id,

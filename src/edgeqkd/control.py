@@ -58,14 +58,16 @@ class AppInfo:
     @classmethod
     def from_doc(cls, doc: Mapping) -> "AppInfo":
         try:
+            if type(slots := doc.get("required_slots", 1)) is not int:  # refuses a bool too
+                raise TypeError(f"required_slots must be an integer, not {slots!r}")
             return cls(
                 app_name=str(doc["app_name"]),
                 provider=str(doc["provider"]),
                 version=str(doc["version"]),
-                required_slots=int(doc.get("required_slots", 1)),
+                required_slots=slots,
                 characteristics=frozenset(doc.get("characteristics", ())),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedError(f"bad application descriptor: {exc}") from exc
 
 
@@ -373,15 +375,11 @@ class Lcmp:
 
     def _create(self, request: WireRequest):
         doc = loads(request.body)
-        if not isinstance(doc, dict) or not isinstance(doc.get("app"), dict):
-            raise MalformedError("context creation body must carry an app object")
-        app_doc = doc["app"]
-        try:
-            key = (str(app_doc["app_name"]), str(app_doc["provider"]), str(app_doc["version"]))
-        except KeyError as exc:
-            raise MalformedError(f"app object missing {exc}") from exc
+        if not isinstance(doc, dict):
+            raise MalformedError("context creation body must be a JSON object")
         callback = doc.get("callback_uri")
-        context = self.create_context(key, str(callback) if callback else None)
+        context = self.create_context(AppInfo.from_doc(doc.get("app")).key,
+                                      str(callback) if callback else None)
         return json_response(201, context.to_doc())
 
     def _delete(self, request: WireRequest, context_id: str):

@@ -5,8 +5,8 @@ else. On the first request for a route the gateway discovers the
 application, creates an application context, picks the lowest offered
 cipher suite, and binds a key; afterwards it encrypts request bodies,
 invokes the remote instance, and decrypts responses with the bytes of the
-key that sealed the request, rolling keys per the refresh policy. A rollover
-drops the retired key, so the gateway's store holds one key per route.
+key that sealed the request, rolling keys per the refresh policy. A route
+holds one key, in its security context, until a rollover or teardown.
 Establishment is single-flight per route, so a burst of first requests
 costs exactly one context and one key.
 """
@@ -31,7 +31,6 @@ from .errors import (
     UnauthorizedError,
     UnknownContextError,
 )
-from .keystore import KeyStore
 from .transport import (
     Router,
     Transport,
@@ -60,8 +59,7 @@ class RouteBinding:
 
 class Gateway:
     def __init__(self, *, bindings: list[RouteBinding], transport: Transport,
-                 lcmp_url: str, kme, key_store: KeyStore,
-                 policy: channel.RefreshPolicy, clock: Clock,
+                 lcmp_url: str, kme, policy: channel.RefreshPolicy, clock: Clock,
                  offered_suites: tuple[int, ...] = (1,),
                  sae_id: str = "sae-client", server_sae: str = "sae-mec",
                  auth_token: str | None = None,
@@ -70,7 +68,6 @@ class Gateway:
         self._transport = transport
         self._mx2 = Mx2Client(transport, src=component, base_url=lcmp_url)
         self._kme = kme
-        self._store = key_store
         self._policy = policy
         self._clock = clock
         self._offered = tuple(offered_suites)
@@ -78,6 +75,11 @@ class Gateway:
         self._server_sae = server_sae
         self._auth_token = auth_token
         self._component = component
+
+    @property
+    def _store(self) -> tuple[str, ...]:
+        """The key_IDs the secure routes hold; perfbench/run.py:293 is its only reader."""
+        return tuple(b.security.current_key_id for b in self._bindings if b.security is not None)
 
     # -- establishment -----------------------------------------------------------
 
@@ -107,14 +109,12 @@ class Gateway:
             if binding.plaintext or binding.security is not None:
                 return
             binding.security = channel.establish_context(
-                self._sae, self._server_sae, self._offered, self._kme, self._store,
-                self._policy, clock=self._clock,
+                self._sae, self._server_sae, self._offered, self._kme, self._policy,
+                clock=self._clock,
             )
 
     def _purge_binding(self, binding: RouteBinding) -> None:
         with binding.lock:
-            if binding.security is not None:
-                self._store.purge([binding.security.current_key_id])
             binding.security = None
             binding.context_id = None
             binding.endpoint_uri = None
@@ -169,9 +169,9 @@ class Gateway:
         assert binding.security is not None and binding.endpoint_uri is not None
         ctx = binding.security
         with ctx.lock:
-            # read the key's bytes before a later rollover purges it
-            envelope = channel.encrypt(ctx, body, self._store, self._kme, clock=self._clock)
-            key_bits = self._store.get(envelope.key_id).key_bits
+            # read the key's bytes before a later rollover replaces them
+            envelope = channel.encrypt(ctx, body, self._kme, clock=self._clock)
+            key_bits = ctx.key_bits
         response = self._transport.request(
             src=self._component, channel="data", method="POST",
             url=binding.endpoint_uri + "/invoke", body=envelope.to_bytes(),

@@ -309,7 +309,6 @@ class Stack:
 
         gateway_kme = KmeClient(transport, src="gateway",
                                 base_url=url_of["kme-client"], channel="qkd")
-        client_store = KeyStore(clock, config.policy.max_age_sec)
         bindings = [
             RouteBinding(path_prefix=b.path_prefix, app_name=b.app_name,
                          provider=b.provider, version=b.version, plaintext=b.plaintext)
@@ -317,7 +316,7 @@ class Stack:
         ]
         gateway = Gateway(
             bindings=bindings, transport=transport, lcmp_url=url_of["lcmp"],
-            kme=gateway_kme, key_store=client_store, policy=config.policy,
+            kme=gateway_kme, policy=config.policy,
             clock=clock, offered_suites=config.offered_suites,
             sae_id=MASTER_SAE, server_sae=SLAVE_SAE, auth_token=config.auth_token,
         )

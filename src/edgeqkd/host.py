@@ -1,15 +1,17 @@
 """Edge execution node: function instances behind a decrypting entry point.
 
 Every request reaching an instance is an encrypted envelope. The host
-claims the key it names under one lock: a store lookup, on a miss a
-consume-once fetch from its key-management entity, the check that the key
-fits the named suite, and, for a one-time pad, its removal from the store.
-Only then does it decrypt, run the registered handler, optionally forward
-the intermediate result one hop to a chained instance inside the same
-perimeter, and seal the result under the same key bytes. Nothing leaves the
-host toward the client domain in the clear, handler failures included. So a
-pad serves one request: a second copy of a pad envelope, concurrent or
+claims the key it names under one lock: a lookup in its key table, on a
+miss a consume-once fetch from its key-management entity, the check that the
+key fits the named suite, and, for a one-time pad, its removal from the
+table. Only then does it decrypt, run the registered handler, optionally
+forward the intermediate result one hop to a chained instance inside the
+same perimeter, and seal the result under the same key bytes. Nothing leaves
+the host toward the client domain in the clear, handler failures included.
+So a pad serves one request: a second copy of a pad envelope, concurrent or
 later, finds no key and gets 404 `unknown-key-id` before any handler runs.
+The first envelope that authenticates under a key binds it to its context;
+the table (see `keystore`) keeps each context's current and previous key.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from . import channel
+from .control import AppInfo
 from .errors import (
     AlreadyConsumedError,
     CapacityExhaustedError,
@@ -31,7 +34,7 @@ from .errors import (
     UnknownAppImageError,
     UnknownKeyIdError,
 )
-from .keystore import KeyStore
+from .keystore import KeyStore, KeyStoreEntry
 from .transport import Router, Transport, WireRequest, WireResponse, error_response, json_response
 from .wire import dumps, loads
 
@@ -67,7 +70,7 @@ BUILTIN_HANDLERS: dict[str, Handler] = {
 
 @dataclass
 class MecAppInstance:
-    app_doc: dict
+    app: AppInfo
     uri: str
     handler: Handler
     chain_uri: str | None = None
@@ -99,21 +102,20 @@ class MecHost:
     @property
     def used_slots(self) -> int:
         with self._lock:
-            return sum(int(i.app_doc.get("required_slots", 1)) for i in self._instances.values())
+            return sum(i.app.required_slots for i in self._instances.values())
 
-    def deploy(self, app_doc: dict, handler_name: str,
+    def deploy(self, app: AppInfo, handler_name: str,
                chain_uri: str | None) -> MecAppInstance:
         handler = self._handlers.get(handler_name)
         if handler is None:
             raise UnknownAppImageError(f"no function image {handler_name!r}")
-        required = int(app_doc.get("required_slots", 1))
         with self._lock:
-            if self.used_slots + required > self.total_slots:
+            if self.used_slots + app.required_slots > self.total_slots:
                 raise CapacityExhaustedError(f"host {self.host_id} is full")
             self._seq += 1
-            segment = f"{app_doc.get('app_name', 'app')}-{self._seq}"
+            segment = f"{app.app_name}-{self._seq}"
             instance = MecAppInstance(
-                app_doc=dict(app_doc), uri=f"{self.base_url}/apps/{segment}",
+                app=app, uri=f"{self.base_url}/apps/{segment}",
                 handler=handler, chain_uri=chain_uri,
             )
             self._instances[segment] = instance
@@ -130,8 +132,11 @@ class MecHost:
             self._instance(self._segment_for(uri)).active_contexts.add(context_id)
 
     def detach_context(self, uri: str, context_id: str) -> None:
-        with self._lock:
-            self._instance(self._segment_for(uri)).active_contexts.discard(context_id)
+        instance = self._instance(self._segment_for(uri))
+        with self._key_lock:
+            # under the key lock, so no request in flight binds a key to it later
+            instance.active_contexts.discard(context_id)
+            self._store.detach(context_id)
 
     def _segment_for(self, uri: str) -> str:
         return uri.rstrip("/").rsplit("/", 1)[-1]
@@ -149,17 +154,17 @@ class MecHost:
 
     # -- key handling ------------------------------------------------------------
 
-    def _claim_key(self, envelope: channel.EncryptedEnvelope) -> bytes:
-        """The key bytes an envelope names, checked against its suite.
+    def _claim_key(self, envelope: channel.EncryptedEnvelope) -> KeyStoreEntry:
+        """The key entry an envelope names, its bytes checked against its suite.
 
         One lock covers lookup, fetch and claim, so concurrent envelopes under
         an unseen key share one consume-once fetch, and a pad is taken from
-        the store by exactly one of them. A pad is claimed only once its
+        the table by exactly one of them. A pad is claimed only once its
         length check has passed, so a forged suite on a seen key burns nothing.
         """
         with self._key_lock:
             try:
-                key_bits = self._store.get(envelope.key_id).key_bits
+                entry = self._store.get(envelope.key_id)
             except NotFoundError:
                 try:
                     (_, key_bits), = self._kme.get_dec_keys(self.master_sae, [envelope.key_id])
@@ -168,10 +173,10 @@ class MecHost:
                     # only learn that the key cannot be obtained
                     raise UnknownKeyIdError(str(exc)) from exc
                 self.dec_fetches += 1
-                self._store.put(envelope.key_id, key_bits)
-            if channel.suite_for(envelope, key_bits).mode == channel.MODE_OTP:
-                self._store.purge([envelope.key_id])
-        return key_bits
+                entry = self._store.put(envelope.key_id, key_bits)
+            if channel.suite_for(envelope, entry.key_bits).mode == channel.MODE_OTP:
+                self._store.discard(envelope.key_id)
+        return entry
 
     # -- invocation ----------------------------------------------------------------
 
@@ -179,8 +184,14 @@ class MecHost:
                envelope: channel.EncryptedEnvelope) -> WireResponse:
         if context_id is None or context_id not in instance.active_contexts:
             raise ContextDeletedError("no active application context for this instance")
-        key_bits = self._claim_key(envelope)
-        plaintext = channel.decrypt(envelope, key_bits)
+        entry = self._claim_key(envelope)
+        plaintext = channel.decrypt(envelope, entry.key_bits)
+        if entry.context_id is None:  # bound once it authenticates: a forgery binds nothing
+            with self._key_lock:
+                if context_id in instance.active_contexts:
+                    self._store.bind(envelope.key_id, context_id)
+                else:  # the context was detached meanwhile
+                    self._store.discard(envelope.key_id)
         headers = {"content-type": "application/octet-stream", "x-envelope": "1"}
         try:
             status, result = 200, self._run(instance, plaintext)
@@ -189,7 +200,7 @@ class MecHost:
             failure = error_response(HandlerError(exc.message))
             status, result = failure.status, failure.body
             headers["x-error-code"] = HandlerError.code
-        sealed = channel.encrypt_response(envelope, result, key_bits, self.sae_id)
+        sealed = channel.encrypt_response(envelope, result, entry.key_bits, self.sae_id)
         return WireResponse(status=status, headers=headers, body=sealed.to_bytes())
 
     def _run(self, instance: MecAppInstance, payload: bytes) -> bytes:
@@ -240,10 +251,8 @@ class MecHost:
 
     def _w_deploy(self, request: WireRequest):
         doc = self._mgmt_body(request)
-        if not isinstance(doc.get("app"), dict):
-            raise MalformedError("deploy body must carry an app object")
-        handler_name = str(doc.get("handler", doc["app"].get("app_name", "")))
-        instance = self.deploy(doc["app"], handler_name, doc.get("chain_uri"))
+        app = AppInfo.from_doc(doc.get("app"))
+        instance = self.deploy(app, str(doc.get("handler", app.app_name)), doc.get("chain_uri"))
         return json_response(200, {"uri": instance.uri})
 
     def _w_undeploy(self, request: WireRequest):

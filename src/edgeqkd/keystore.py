@@ -1,14 +1,14 @@
-"""In-memory symmetric-key cache, one instance per security domain.
+"""The host's key table. Its owner serialises every call.
 
-Entries are immutable once inserted (re-inserting an id is an error) and
-never outlive the configured maximum age: lookups past expiry evict the
-entry and report not-found. An entry holds only the key bytes: the key's
-length fixes its cipher suite (see `channel.SUITES`), so no suite is stored.
+Re-inserting a live id is an error, and lookups past the maximum age evict
+the entry and report not-found. An entry holds the key bytes (their length
+fixes the suite, see `channel.SUITES`) and the context first served under
+the key. A context keeps its current and previous key: binding a third drops
+the oldest, and detaching the context drops them all.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .clock import Clock
@@ -19,6 +19,7 @@ from .errors import DuplicateIdError, NotFoundError
 class KeyStoreEntry:
     key_bits: bytes
     inserted_at: float
+    context_id: str | None = None  # the context first served under this key
 
 
 class KeyStore:
@@ -28,41 +29,41 @@ class KeyStore:
         self._clock = clock
         self._max_age = float(max_age_sec)
         self._entries: dict[str, KeyStoreEntry] = {}
-        self._lock = threading.RLock()
+        self._bound: dict[str, list[str]] = {}  # context_id -> [previous, current] key_IDs
 
-    def _expired(self, entry: KeyStoreEntry, now: float) -> bool:
-        return (now - entry.inserted_at) > self._max_age
-
-    def put(self, key_id: str, key_bits: bytes) -> None:
+    def put(self, key_id: str, key_bits: bytes) -> KeyStoreEntry:
         now = self._clock.now()
-        with self._lock:
-            current = self._entries.get(key_id)
-            if current is not None and not self._expired(current, now):
-                raise DuplicateIdError(f"key {key_id} already stored")
-            self._entries[key_id] = KeyStoreEntry(key_bits=key_bits, inserted_at=now)
+        current = self._entries.get(key_id)
+        if current is not None and now - current.inserted_at <= self._max_age:
+            raise DuplicateIdError(f"key {key_id} already stored")
+        self._entries[key_id] = entry = KeyStoreEntry(key_bits=key_bits, inserted_at=now)
+        return entry
 
     def get(self, key_id: str) -> KeyStoreEntry:
-        now = self._clock.now()
-        with self._lock:
-            entry = self._entries.get(key_id)
-            if entry is None:
-                raise NotFoundError(f"no key {key_id} in store")
-            if self._expired(entry, now):
-                del self._entries[key_id]
-                raise NotFoundError(f"key {key_id} expired")
-            return entry
+        entry = self._entries.get(key_id)
+        if entry is None:
+            raise NotFoundError(f"no key {key_id} in store")
+        if self._clock.now() - entry.inserted_at > self._max_age:
+            del self._entries[key_id]
+            raise NotFoundError(f"key {key_id} expired")
+        return entry
 
-    def purge(self, key_ids) -> None:
-        with self._lock:
-            for key_id in key_ids:
-                self._entries.pop(key_id, None)
+    def bind(self, key_id: str, context_id: str) -> None:
+        entry = self._entries.get(key_id)
+        if entry is None or entry.context_id is not None:
+            return
+        entry.context_id = context_id
+        keys = self._bound.setdefault(context_id, [])
+        keys.append(key_id)
+        while len(keys) > 2:
+            self._entries.pop(keys.pop(0), None)
 
-    def __contains__(self, key_id: str) -> bool:
-        now = self._clock.now()
-        with self._lock:
-            entry = self._entries.get(key_id)
-            return entry is not None and not self._expired(entry, now)
+    def discard(self, key_id: str) -> None:
+        self._entries.pop(key_id, None)
+
+    def detach(self, context_id: str) -> None:
+        for key_id in self._bound.pop(context_id, ()):
+            self._entries.pop(key_id, None)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)

@@ -5,6 +5,7 @@ from typing import Iterable, Sequence
 
 import pytest
 
+from edgeqkd.errors import NotFoundError
 from edgeqkd.kme import KmeHandle
 
 # Pass/fail lines registered by the acceptance suite; echoed in the terminal
@@ -31,6 +32,15 @@ def sim_clock():
     from edgeqkd.clock import SimulatedClock
 
     return SimulatedClock()
+
+
+def holds(key_table, key_id: str) -> bool:
+    """Whether a key table holds a live key, observed through its lookup."""
+    try:
+        key_table.get(key_id)
+    except NotFoundError:
+        return False
+    return True
 
 
 class LocalKmeClient:

@@ -373,7 +373,7 @@ def test_c9_lifecycle():
     # a stale invocation against the deleted context is rejected
     from edgeqkd import channel
 
-    stale = channel.encrypt(stale_security, b"stale", stack.gateway._store, None,
+    stale = channel.encrypt(stale_security, b"stale", None,
                             clock=stack.clock)
     refused = stack.transport.request(
         src="gateway", channel="data", method="POST", url=endpoint + "/invoke",

@@ -27,7 +27,6 @@ from edgeqkd.errors import (
     NoCommonSuiteError,
     UnknownKeyIdError,
 )
-from edgeqkd.keystore import KeyStore
 from edgeqkd.kme import new_kme_pair
 
 from conftest import LocalKmeClient
@@ -36,31 +35,25 @@ SEED = b"\x24" * 32
 
 
 def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,)):
-    """Client-side fixtures plus the server-side store/kme for manual decrypts."""
+    """A client context (it holds its current key) plus the server-side kme and
+    key_ID -> key bytes map for manual decrypts."""
     master, slave = new_kme_pair(SEED, rate, cap, clock=clock)
     client_kme = LocalKmeClient(master)
     server_kme = LocalKmeClient(slave)
-    client_store = KeyStore(clock, 3600)
-    server_store = KeyStore(clock, 3600)
     policy = policy or RefreshPolicy(max_uses=10, max_age_sec=3600)
     ctx = establish_context(
-        "sae-client", "sae-mec", list(offered), client_kme, client_store, policy,
-        clock=clock,
+        "sae-client", "sae-mec", list(offered), client_kme, policy, clock=clock,
     )
-    return ctx, client_kme, client_store, server_kme, server_store, master, slave
+    return ctx, client_kme, server_kme, {}, master, slave
 
 
-def key_of(envelope, store):
-    return store.get(envelope.key_id).key_bits
-
-
-def server_decrypt(envelope, server_store, server_kme):
-    """Open a request as the host does: fetch its key by key_ID once, cache it,
-    then decrypt with the cached bytes."""
-    if envelope.key_id not in server_store:
-        (_, key_bits), = server_kme.get_dec_keys("sae-client", [envelope.key_id])
-        server_store.put(envelope.key_id, key_bits)
-    return decrypt(envelope, key_of(envelope, server_store))
+def server_decrypt(envelope, server_keys, server_kme):
+    """Open a request as the host does: fetch its key by key_ID once, keep it,
+    then decrypt with the kept bytes."""
+    if envelope.key_id not in server_keys:
+        (_, server_keys[envelope.key_id]), = server_kme.get_dec_keys("sae-client",
+                                                                     [envelope.key_id])
+    return decrypt(envelope, server_keys[envelope.key_id])
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +90,11 @@ def test_negotiate_symmetric_and_in_intersection(a, b):
 # ---------------------------------------------------------------------------
 
 def test_establish_happy_path(sim_clock):
-    ctx, _, store, _, _, master, _ = make_side(sim_clock)
+    ctx, _, _, _, master, _ = make_side(sim_clock)
     assert ctx.suite.suite_id == 1
     assert ctx.uses == 0
-    assert store.get(ctx.current_key_id).key_bits is not None
-    assert len(store.get(ctx.current_key_id).key_bits) == 32
+    assert ctx.key_bits is not None
+    assert len(ctx.key_bits) == 32
     assert master.pair.dispensed_keys == 1
 
 
@@ -110,17 +103,16 @@ def test_establish_exhausted_pool(sim_clock):
     with pytest.raises(KeyExhaustedError):
         establish_context(
             "sae-client", "sae-mec", [1], LocalKmeClient(master),
-            KeyStore(sim_clock, 3600), RefreshPolicy(1, 3600), clock=sim_clock,
+            RefreshPolicy(1, 3600), clock=sim_clock,
         )
 
 
 def test_sequential_establishes_use_distinct_keys(sim_clock):
     master, _ = new_kme_pair(SEED, 0, 4096, clock=sim_clock)
     kme = LocalKmeClient(master)
-    store = KeyStore(sim_clock, 3600)
     ids = set()
     for _ in range(2):
-        ctx = establish_context("sae-client", "sae-mec", [1], kme, store,
+        ctx = establish_context("sae-client", "sae-mec", [1], kme,
                                 RefreshPolicy(10, 3600), clock=sim_clock)
         ids.add(ctx.current_key_id)
     assert len(ids) == 2
@@ -137,107 +129,107 @@ def test_establish_otp_forces_single_use(sim_clock):
 # ---------------------------------------------------------------------------
 
 def test_aead_roundtrip(sim_clock):
-    ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
-    envelope = encrypt(ctx, b"hello", client_store, None, clock=sim_clock)
+    ctx, _, server_kme, server_keys, *_ = make_side(sim_clock)
+    envelope = encrypt(ctx, b"hello", None, clock=sim_clock)
     assert b"hello" not in envelope.ciphertext
-    out = server_decrypt(envelope, server_store, server_kme)
+    out = server_decrypt(envelope, server_keys, server_kme)
     assert out == b"hello"
 
 
 def test_server_fetch_is_lazy_and_cached(sim_clock):
-    ctx, _, client_store, server_kme, server_store, master, _ = make_side(sim_clock)
-    envelope = encrypt(ctx, b"payload", client_store, None, clock=sim_clock)
+    ctx, _, server_kme, server_keys, master, _ = make_side(sim_clock)
+    envelope = encrypt(ctx, b"payload", None, clock=sim_clock)
     assert master.pair.holds_material(ctx.current_key_id)
-    server_decrypt(envelope, server_store, server_kme)
+    server_decrypt(envelope, server_keys, server_kme)
     # consumed from the entity, cached locally for the next envelope
     assert not master.pair.holds_material(ctx.current_key_id)
-    envelope2 = encrypt(ctx, b"payload-2", client_store, None, clock=sim_clock)
-    assert server_decrypt(envelope2, server_store, server_kme) == b"payload-2"
+    envelope2 = encrypt(ctx, b"payload-2", None, clock=sim_clock)
+    assert server_decrypt(envelope2, server_keys, server_kme) == b"payload-2"
 
 
 def test_forced_refresh_consumes_two_keys(sim_clock):
     policy = RefreshPolicy(max_uses=1, max_age_sec=3600)
-    ctx, kme, store, _, _, master, _ = make_side(sim_clock, policy=policy)
-    e1 = encrypt(ctx, b"one", store, kme, clock=sim_clock)
-    e2 = encrypt(ctx, b"two", store, kme, clock=sim_clock)
+    ctx, kme, _, _, master, _ = make_side(sim_clock, policy=policy)
+    e1 = encrypt(ctx, b"one", kme, clock=sim_clock)
+    e2 = encrypt(ctx, b"two", kme, clock=sim_clock)
     assert e1.key_id != e2.key_id
     assert master.pair.dispensed_keys == 2
 
 
 def test_age_based_refresh(sim_clock):
     policy = RefreshPolicy(max_uses=100, max_age_sec=30)
-    ctx, kme, store, *_ = make_side(sim_clock, policy=policy)
-    e1 = encrypt(ctx, b"a", store, kme, clock=sim_clock)
+    ctx, kme, *_ = make_side(sim_clock, policy=policy)
+    e1 = encrypt(ctx, b"a", kme, clock=sim_clock)
     sim_clock.advance(31)
-    e2 = encrypt(ctx, b"b", store, kme, clock=sim_clock)
+    e2 = encrypt(ctx, b"b", kme, clock=sim_clock)
     assert e1.key_id != e2.key_id
 
 
 def test_otp_xor_definition(sim_clock):
     # 256-byte message and 256-byte pad: ciphertext is exactly plaintext XOR pad
-    ctx, kme, store, *_ = make_side(sim_clock, offered=(2,))
+    ctx, kme, *_ = make_side(sim_clock, offered=(2,))
     plaintext = bytes(range(256))
-    envelope = encrypt(ctx, plaintext, store, kme, clock=sim_clock)
-    pad = store.get(ctx.current_key_id).key_bits
+    envelope = encrypt(ctx, plaintext, kme, clock=sim_clock)
+    pad = ctx.key_bits
     assert len(pad) == 256
     assert envelope.ciphertext == bytes(p ^ k for p, k in zip(plaintext, pad))
-    assert decrypt(envelope, key_of(envelope, store)) == plaintext
+    assert decrypt(envelope, ctx.key_bits) == plaintext
 
 
 def test_otp_message_too_long(sim_clock):
-    ctx, kme, store, *_ = make_side(sim_clock, offered=(2,))
+    ctx, kme, *_ = make_side(sim_clock, offered=(2,))
     with pytest.raises(MessageTooLongError):
-        encrypt(ctx, bytes(257), store, kme, clock=sim_clock)
+        encrypt(ctx, bytes(257), kme, clock=sim_clock)
 
 
 def test_otp_reply_shares_no_pad_bits(sim_clock):
-    ctx, kme, client_store, server_kme, server_store, *_ = make_side(sim_clock, offered=(2,))
-    request = encrypt(ctx, b"ping-ping-ping", client_store, kme, clock=sim_clock)
-    assert server_decrypt(request, server_store, server_kme) == b"ping-ping-ping"
-    reply = encrypt_response(request, b"pong-pong", key_of(request, server_store), "sae-mec")
-    assert decrypt(reply, key_of(reply, client_store), response=True) == b"pong-pong"
+    ctx, kme, server_kme, server_keys, *_ = make_side(sim_clock, offered=(2,))
+    request = encrypt(ctx, b"ping-ping-ping", kme, clock=sim_clock)
+    assert server_decrypt(request, server_keys, server_kme) == b"ping-ping-ping"
+    reply = encrypt_response(request, b"pong-pong", server_keys[request.key_id], "sae-mec")
+    assert decrypt(reply, ctx.key_bits, response=True) == b"pong-pong"
     # request pad prefix and reply pad suffix must differ
     assert request.ciphertext[: len(reply.ciphertext)] != reply.ciphertext
 
 
 def test_tampered_ciphertext_fails_auth(sim_clock):
-    ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
-    envelope = encrypt(ctx, b"integrity matters", client_store, None, clock=sim_clock)
+    ctx, _, server_kme, server_keys, *_ = make_side(sim_clock)
+    envelope = encrypt(ctx, b"integrity matters", None, clock=sim_clock)
     corrupted = bytearray(envelope.ciphertext)
     corrupted[0] ^= 0x01
     bad = EncryptedEnvelope(envelope.key_id, envelope.suite_id, envelope.nonce,
                             bytes(corrupted), envelope.sender_sae)
     with pytest.raises(AuthFailureError):
-        server_decrypt(bad, server_store, server_kme)
+        server_decrypt(bad, server_keys, server_kme)
 
 
 def test_envelope_of_other_context(sim_clock):
     """A mismatched key id fails closed in every cache state."""
-    ctx_a, kme, client_store, server_kme, server_store, *_ = make_side(sim_clock)
-    ctx_b = establish_context("sae-client", "sae-mec", [1], kme, client_store,
+    ctx_a, kme, server_kme, server_keys, *_ = make_side(sim_clock)
+    ctx_b = establish_context("sae-client", "sae-mec", [1], kme,
                               RefreshPolicy(10, 3600), clock=sim_clock)
-    envelope = encrypt(ctx_a, b"addressed to context A!", client_store, kme, clock=sim_clock)
+    envelope = encrypt(ctx_a, b"addressed to context A!", kme, clock=sim_clock)
     swapped = EncryptedEnvelope(ctx_b.current_key_id, envelope.suite_id, envelope.nonce,
                                 envelope.ciphertext, envelope.sender_sae)
     # state 1: key B not cached on the server; the fetch succeeds but the bytes differ
     with pytest.raises((AuthFailureError, UnknownKeyIdError)):
-        server_decrypt(swapped, server_store, server_kme)
+        server_decrypt(swapped, server_keys, server_kme)
     # state 2: key B now cached (fetched above); still must not authenticate
     with pytest.raises((AuthFailureError, UnknownKeyIdError)):
-        server_decrypt(swapped, server_store, server_kme)
+        server_decrypt(swapped, server_keys, server_kme)
     # state 3 (no cache, no fetch possible) needs the host's key lookup:
     # tests/test_host.py::test_unobtainable_key_is_unknown_and_runs_no_handler[other-context]
 
 
 def test_suite_swap_on_cached_key_fails_closed(sim_clock):
     # rewriting cipher_suite must not route an AEAD key through the pad path
-    ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
-    envelope = encrypt(ctx, b"downgrade attempt here", client_store, None, clock=sim_clock)
-    server_decrypt(envelope, server_store, server_kme)  # key now cached
+    ctx, _, server_kme, server_keys, *_ = make_side(sim_clock)
+    envelope = encrypt(ctx, b"downgrade attempt here", None, clock=sim_clock)
+    server_decrypt(envelope, server_keys, server_kme)  # key now cached
     swapped = EncryptedEnvelope(envelope.key_id, 2, b"", envelope.ciphertext,
                                 envelope.sender_sae)
     with pytest.raises(AuthFailureError):
-        decrypt(swapped, key_of(swapped, server_store))
+        decrypt(swapped, server_keys[swapped.key_id])
 
 
 def test_each_suite_has_its_own_key_length():
@@ -247,14 +239,14 @@ def test_each_suite_has_its_own_key_length():
 
 
 def test_response_uses_same_key_distinct_nonce(sim_clock):
-    ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
-    request = encrypt(ctx, b"question", client_store, None, clock=sim_clock)
-    server_decrypt(request, server_store, server_kme)
-    reply = encrypt_response(request, b"answer", key_of(request, server_store), "sae-mec")
+    ctx, _, server_kme, server_keys, *_ = make_side(sim_clock)
+    request = encrypt(ctx, b"question", None, clock=sim_clock)
+    server_decrypt(request, server_keys, server_kme)
+    reply = encrypt_response(request, b"answer", server_keys[request.key_id], "sae-mec")
     assert reply.key_id == request.key_id
     assert reply.nonce != request.nonce
     assert reply.nonce == response_nonce(request.nonce)
-    assert decrypt(reply, key_of(reply, client_store), response=True) == b"answer"
+    assert decrypt(reply, ctx.key_bits, response=True) == b"answer"
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +265,9 @@ def test_should_refresh_boundaries(sim_clock):
 
 def test_refresh_accounting_seven_messages(sim_clock):
     policy = RefreshPolicy(max_uses=3, max_age_sec=1e9)
-    ctx, kme, store, _, _, master, _ = make_side(sim_clock, policy=policy)
+    ctx, kme, _, _, master, _ = make_side(sim_clock, policy=policy)
     for i in range(7):
-        encrypt(ctx, f"message {i}".encode(), store, kme, clock=sim_clock)
+        encrypt(ctx, f"message {i}".encode(), kme, clock=sim_clock)
     assert master.pair.dispensed_keys == math.ceil(7 / 3)
 
 
@@ -284,9 +276,9 @@ def test_refresh_accounting_seven_messages(sim_clock):
 def test_refresh_accounting_property(messages, max_uses):
     clock = SimulatedClock()
     policy = RefreshPolicy(max_uses=max_uses, max_age_sec=1e9)
-    ctx, kme, store, _, _, master, _ = make_side(clock, policy=policy)
+    ctx, kme, _, _, master, _ = make_side(clock, policy=policy)
     for i in range(messages):
-        encrypt(ctx, b"m%d" % i, store, kme, clock=clock)
+        encrypt(ctx, b"m%d" % i, kme, clock=clock)
     assert master.pair.dispensed_keys == math.ceil(messages / max_uses)
 
 
@@ -298,18 +290,18 @@ def test_refresh_accounting_property(messages, max_uses):
 @given(plaintext=st.binary(min_size=0, max_size=4096))
 def test_roundtrip_property(plaintext):
     clock = SimulatedClock()
-    ctx, _, client_store, server_kme, server_store, *_ = make_side(clock)
-    envelope = encrypt(ctx, plaintext, client_store, None, clock=clock)
-    assert server_decrypt(envelope, server_store, server_kme) == plaintext
+    ctx, _, server_kme, server_keys, *_ = make_side(clock)
+    envelope = encrypt(ctx, plaintext, None, clock=clock)
+    assert server_decrypt(envelope, server_keys, server_kme) == plaintext
 
 
 def test_roundtrip_64k(sim_clock):
     import os
 
-    ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
+    ctx, _, server_kme, server_keys, *_ = make_side(sim_clock)
     blob = os.urandom(64 * 1024)
-    envelope = encrypt(ctx, blob, client_store, None, clock=sim_clock)
-    assert server_decrypt(envelope, server_store, server_kme) == blob
+    envelope = encrypt(ctx, blob, None, clock=sim_clock)
+    assert server_decrypt(envelope, server_keys, server_kme) == blob
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,17 +309,17 @@ def test_roundtrip_64k(sim_clock):
 def test_envelope_never_contains_plaintext(data):
     plaintext = bytes(data.draw(st.permutations(range(16, 48))))  # 32 distinct bytes
     clock = SimulatedClock()
-    ctx, _, client_store, *_ = make_side(clock)
-    envelope = encrypt(ctx, plaintext, client_store, None, clock=clock)
+    ctx, *_ = make_side(clock)
+    envelope = encrypt(ctx, plaintext, None, clock=clock)
     assert plaintext not in envelope.to_bytes()
     assert plaintext not in envelope.ciphertext
 
 
 def test_nonce_unique_within_key(sim_clock):
-    ctx, kme, store, *_ = make_side(sim_clock, policy=RefreshPolicy(50, 1e9))
+    ctx, kme, *_ = make_side(sim_clock, policy=RefreshPolicy(50, 1e9))
     nonces = set()
     for i in range(50):
-        envelope = encrypt(ctx, b"n%d" % i, store, kme, clock=sim_clock)
+        envelope = encrypt(ctx, b"n%d" % i, kme, clock=sim_clock)
         assert envelope.key_id == ctx.current_key_id
         assert envelope.nonce not in nonces
         nonces.add(envelope.nonce)
@@ -395,11 +387,11 @@ def test_envelope_encode_rejects_oversized_fields(field_name, envelope):
 def test_nonce_direction_is_checked(sim_clock):
     # a reply opened as a request (or the reverse) is refused before the
     # server could seal an answer under the reply's own nonce
-    ctx, _, client_store, server_kme, server_store, *_ = make_side(sim_clock)
-    request = encrypt(ctx, b"question", client_store, None, clock=sim_clock)
-    server_decrypt(request, server_store, server_kme)
-    reply = encrypt_response(request, b"answer", key_of(request, server_store), "sae-mec")
+    ctx, _, server_kme, server_keys, *_ = make_side(sim_clock)
+    request = encrypt(ctx, b"question", None, clock=sim_clock)
+    server_decrypt(request, server_keys, server_kme)
+    reply = encrypt_response(request, b"answer", server_keys[request.key_id], "sae-mec")
     with pytest.raises(AuthFailureError):
-        decrypt(reply, key_of(reply, server_store))
+        decrypt(reply, server_keys[reply.key_id])
     with pytest.raises(AuthFailureError):
-        decrypt(request, key_of(request, client_store), response=True)
+        decrypt(request, ctx.key_bits, response=True)

@@ -10,7 +10,7 @@ from edgeqkd.host import BUILTIN_HANDLERS
 from edgeqkd.transport import Router, WireResponse
 from edgeqkd.wire import loads
 
-from conftest import iter_frames
+from conftest import holds, iter_frames
 
 SEED_HEX = "5a" * 32
 
@@ -53,6 +53,15 @@ def contexts_created(stack):
     return count_frames(stack, "mx2",
                         lambda f: f.kind == "RSP" and f.status == 201
                         and f.path.endswith("/app_contexts"))
+
+
+def route_keys(stack):
+    """The key_IDs the gateway's routes hold: one per established security context."""
+    return [b.security.current_key_id for b in stack.gateway._bindings if b.security is not None]
+
+
+def host_keys(stack):
+    return len(stack.hosts["edge-a"]._store)
 
 
 def keys_dispensed(stack):
@@ -155,7 +164,8 @@ def test_teardown_purges_and_reestablishes():
     old_key = binding.security.current_key_id
     stack.gateway.teardown(binding)
     assert binding.context_id is None and binding.security is None
-    assert old_key not in stack.gateway._store
+    assert route_keys(stack) == []
+    assert host_keys(stack) == 0  # the context's detach dropped its key on the host
     response = stack.client_request("/echo", b"two")
     assert response.status == 200 and response.body == b"two"
     assert binding.context_id != old_context
@@ -172,9 +182,34 @@ def test_client_store_holds_one_key_per_route():
     for i in range(20):
         assert stack.client_request("/echo", b"m%d" % i).status == 200
     assert keys_dispensed(stack) == 20
-    assert len(stack.gateway._store) == 1
+    assert len(route_keys(stack)) == 1
     stack.gateway.teardown(stack.gateway.binding_for("/echo"))
-    assert len(stack.gateway._store) == 0
+    assert route_keys(stack) == []
+
+
+def test_deleted_context_leaves_no_key_on_the_host():
+    stack = build(policy={"max_uses": 1, "max_age_sec": 3600})
+    served = []
+    for path in ("/echo", "/echo", "/echo", "/upper"):
+        assert stack.client_request(path, b"text").status == 200
+        served.append(stack.gateway.binding_for(path).security.current_key_id)
+    binding = stack.gateway.binding_for("/echo")
+    assert host_keys(stack) == 3  # the current and previous /echo key, one /upper key
+    stack.lcmp.delete_context(binding.context_id)
+    assert host_keys(stack) == 1
+    assert holds(stack.hosts["edge-a"]._store, served[-1])  # the /upper key stays
+
+
+def test_rekey_soak_keeps_key_state_flat():
+    # with max_uses=1 every request uses a fresh key: the host keeps the
+    # current and previous one, the gateway the current one
+    stack = build(policy={"max_uses": 1, "max_age_sec": 3600},
+                  qkd={"seed": SEED_HEX, "rate_bits_per_sec": 0, "capacity_bits": 1 << 20})
+    for i in range(2000):
+        assert stack.client_request("/echo", b"m%d" % i).status == 200
+    assert keys_dispensed(stack) == 2000
+    assert host_keys(stack) <= 2
+    assert len(route_keys(stack)) == 1
 
 
 def test_reply_under_another_key_is_refused():
@@ -220,8 +255,7 @@ def test_invoking_deleted_context_is_rejected_at_host():
     # a stale caller that skips the gateway re-establishment is refused
     from edgeqkd import channel
 
-    envelope = channel.encrypt(binding.security, b"stale", stack.gateway._store,
-                               None, clock=stack.clock)
+    envelope = channel.encrypt(binding.security, b"stale", None, clock=stack.clock)
     response = stack.transport.request(
         src="gateway", channel="data", method="POST", url=endpoint + "/invoke",
         body=envelope.to_bytes(), headers={"x-app-context-id": context_id},

@@ -11,6 +11,7 @@ import pytest
 from edgeqkd import channel
 from edgeqkd.channel import EncryptedEnvelope, RefreshPolicy, establish_context
 from edgeqkd.clock import SimulatedClock
+from edgeqkd.control import AppInfo
 from edgeqkd.errors import (
     CapacityExhaustedError,
     NotFoundError,
@@ -22,7 +23,7 @@ from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
 from edgeqkd.transport import InprocTransport, raise_for_status
 from edgeqkd.wire import dumps, loads
 
-from conftest import LocalKmeClient
+from conftest import LocalKmeClient, holds
 
 SEED = b"\x33" * 32
 CTX = "11111111-2222-4333-8444-555555555555"
@@ -44,20 +45,18 @@ def build_host(clock=None, slots=4, max_age=3600.0, handlers=None):
 
 def client_side(master, clock, policy=None, suite=1):
     kme = LocalKmeClient(master)
-    store = KeyStore(clock, 3600)
     ctx = establish_context(
-        "sae-client", "sae-mec", [suite], kme, store,
-        policy or RefreshPolicy(10, 3600), clock=clock,
+        "sae-client", "sae-mec", [suite], kme, policy or RefreshPolicy(10, 3600), clock=clock,
     )
-    return ctx, kme, store
+    return ctx, kme
 
 
 def app_doc(name="fn-echo", slots=1):
     return {"app_name": name, "provider": "demo", "version": "1.0", "required_slots": slots}
 
 
-def key_of(envelope, store):
-    return store.get(envelope.key_id).key_bits
+def app(name="fn-echo", slots=1):
+    return AppInfo.from_doc(app_doc(name, slots))
 
 
 def recording_handler(delay=0.0):
@@ -73,24 +72,24 @@ def recording_handler(delay=0.0):
 
 def test_deploy_assigns_sequential_uris():
     host, *_ = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     assert inst.uri == "inproc://edge-a/apps/fn-echo-1"
-    inst2 = host.deploy(app_doc(), "fn-echo", None)
+    inst2 = host.deploy(app(), "fn-echo", None)
     assert inst2.uri == "inproc://edge-a/apps/fn-echo-2"
     assert host.used_slots == 2
 
 
 def test_deploy_full_host():
     host, *_ = build_host(slots=1)
-    host.deploy(app_doc(), "fn-echo", None)
+    host.deploy(app(), "fn-echo", None)
     with pytest.raises(CapacityExhaustedError):
-        host.deploy(app_doc(), "fn-echo", None)
+        host.deploy(app(), "fn-echo", None)
 
 
 def test_deploy_unknown_image():
     host, *_ = build_host()
     with pytest.raises(UnknownAppImageError):
-        host.deploy(app_doc("fn-mystery"), "fn-mystery", None)
+        host.deploy(app("fn-mystery"), "fn-mystery", None)
 
 
 def invoke(host, transport, inst, envelope, context_id=CTX):
@@ -102,13 +101,13 @@ def invoke(host, transport, inst, envelope, context_id=CTX):
 
 
 def roundtrip(host, master, transport, clock, body, handler="fn-echo", policy=None, suite=1):
-    inst = host.deploy(app_doc(handler), handler, None)
+    inst = host.deploy(app(handler), handler, None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock, policy=policy, suite=suite)
-    envelope = channel.encrypt(ctx, body, store, kme, clock=clock)
+    ctx, kme = client_side(master, clock, policy=policy, suite=suite)
+    envelope = channel.encrypt(ctx, body, kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
     reply = EncryptedEnvelope.from_bytes(response.body)
-    plaintext = channel.decrypt(reply, key_of(reply, store), response=True)
+    plaintext = channel.decrypt(reply, ctx.key_bits, response=True)
     return response, reply, plaintext, envelope
 
 
@@ -134,28 +133,28 @@ def test_invoke_sum():
 
 def test_handler_error_is_encrypted():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc("fn-sum"), "fn-sum", None)
+    inst = host.deploy(app("fn-sum"), "fn-sum", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock)
+    ctx, kme = client_side(master, clock)
     secret = b"not json, secretly: hunter2-hunter2"
-    envelope = channel.encrypt(ctx, secret, store, kme, clock=clock)
+    envelope = channel.encrypt(ctx, secret, kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
     assert response.status == 500
     assert response.headers.get("x-error-code") == "handler-error"
     assert response.headers.get("x-envelope") == "1"
     assert secret not in response.body  # failure detail leaves only sealed
     reply = EncryptedEnvelope.from_bytes(response.body)
-    detail = loads(channel.decrypt(reply, key_of(reply, store), response=True))
+    detail = loads(channel.decrypt(reply, ctx.key_bits, response=True))
     assert detail["code"] == "handler-error"
     assert "not JSON" in detail["message"]  # the shape of every other error body
 
 
 def test_invoke_requires_active_context():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock)
-    envelope = channel.encrypt(ctx, b"x", store, kme, clock=clock)
+    ctx, kme = client_side(master, clock)
+    envelope = channel.encrypt(ctx, b"x", kme, clock=clock)
     response = invoke(host, transport, inst, envelope, context_id="someone-else")
     assert response.status == 410
     assert b"context-deleted" in response.body
@@ -166,8 +165,8 @@ def test_invoke_requires_active_context():
 
 def test_invoke_unknown_instance():
     host, master, transport, clock = build_host()
-    ctx, kme, store = client_side(master, clock)
-    envelope = channel.encrypt(ctx, b"x", store, kme, clock=clock)
+    ctx, kme = client_side(master, clock)
+    envelope = channel.encrypt(ctx, b"x", kme, clock=clock)
     response = transport.request(
         src="gateway", channel="data", method="POST",
         url="inproc://edge-a/apps/ghost-9/invoke", body=envelope.to_bytes(),
@@ -179,13 +178,13 @@ def test_invoke_unknown_instance():
 def test_consumed_and_evicted_key_is_unknown():
     clock = SimulatedClock()
     host, master, transport, _ = build_host(clock=clock, max_age=5.0)
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock, policy=RefreshPolicy(100, 1e9))
-    first = channel.encrypt(ctx, b"one", store, kme, clock=clock)
+    ctx, kme = client_side(master, clock, policy=RefreshPolicy(100, 1e9))
+    first = channel.encrypt(ctx, b"one", kme, clock=clock)
     assert invoke(host, transport, inst, first).status == 200
     clock.advance(6)  # host cache evicts; the entity already purged the key
-    second = channel.encrypt(ctx, b"two", store, kme, clock=clock)
+    second = channel.encrypt(ctx, b"two", kme, clock=clock)
     response = invoke(host, transport, inst, second)
     assert response.status == 404
     assert b"unknown-key-id" in response.body
@@ -193,10 +192,10 @@ def test_consumed_and_evicted_key_is_unknown():
 
 def test_single_flight_key_fetch():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock, policy=RefreshPolicy(100, 1e9))
-    envelopes = [channel.encrypt(ctx, b"m%d" % i, store, kme, clock=clock) for i in range(6)]
+    ctx, kme = client_side(master, clock, policy=RefreshPolicy(100, 1e9))
+    envelopes = [channel.encrypt(ctx, b"m%d" % i, kme, clock=clock) for i in range(6)]
     assert len({e.key_id for e in envelopes}) == 1  # same fresh key
     barrier = threading.Barrier(6)
     statuses = []
@@ -222,10 +221,10 @@ def test_forged_suite_on_a_seen_key_does_not_block_the_genuine_request():
     # with an empty nonce. The key's length fixes its suite, so the forgery
     # fails and does not stop the genuine envelope from being served.
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock)
-    genuine = channel.encrypt(ctx, b"genuine request", store, kme, clock=clock)
+    ctx, kme = client_side(master, clock)
+    genuine = channel.encrypt(ctx, b"genuine request", kme, clock=clock)
     forged = EncryptedEnvelope(genuine.key_id, 2, b"", genuine.ciphertext, genuine.sender_sae)
     response = invoke(host, transport, inst, forged)
     assert response.status == 502
@@ -233,7 +232,7 @@ def test_forged_suite_on_a_seen_key_does_not_block_the_genuine_request():
     response = invoke(host, transport, inst, genuine)
     assert response.status == 200
     reply = EncryptedEnvelope.from_bytes(response.body)
-    assert channel.decrypt(reply, key_of(reply, store), response=True) == b"genuine request"
+    assert channel.decrypt(reply, ctx.key_bits, response=True) == b"genuine request"
 
 
 def test_reflected_reply_is_refused():
@@ -284,10 +283,10 @@ def test_concurrent_pad_envelopes_run_the_handler_once():
     # envelope in flight at once, exactly one reaches the handler
     handler, calls = recording_handler(delay=0.2)
     host, master, transport, clock = build_host(handlers={"fn-slow": handler})
-    inst = host.deploy(app_doc("fn-slow"), "fn-slow", None)
+    inst = host.deploy(app("fn-slow"), "fn-slow", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock, suite=2)
-    envelope = channel.encrypt(ctx, b"one pad", store, kme, clock=clock)
+    ctx, kme = client_side(master, clock, suite=2)
+    envelope = channel.encrypt(ctx, b"one pad", kme, clock=clock)
     barrier = threading.Barrier(2)
     responses = []
     lock = threading.Lock()
@@ -315,10 +314,10 @@ def test_each_pad_serves_one_request_under_contention():
     # thread switches: each pad reaches the handler once and is fetched once
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(handlers={"fn-rec": handler})
-    inst = host.deploy(app_doc("fn-rec"), "fn-rec", None)
+    inst = host.deploy(app("fn-rec"), "fn-rec", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock, suite=2)
-    envelopes = [channel.encrypt(ctx, b"pad %d" % i, store, kme, clock=clock) for i in range(4)]
+    ctx, kme = client_side(master, clock, suite=2)
+    envelopes = [channel.encrypt(ctx, b"pad %d" % i, kme, clock=clock) for i in range(4)]
     barrier = threading.Barrier(8)
     statuses = []
     lock = threading.Lock()
@@ -347,43 +346,57 @@ def test_each_pad_serves_one_request_under_contention():
     assert host.dec_fetches == 4
 
 
-def _envelope_under_other_context_key(host, transport, inst, master, clock, ctx, kme, store):
+def _envelope_under_other_context_key(host, transport, inst, master, clock, ctx, kme):
     # key B belongs to a second context and was released to another caller
-    other = establish_context("sae-client", "sae-mec", [1], kme, store,
-                              RefreshPolicy(10, 3600), clock=clock)
+    other = establish_context("sae-client", "sae-mec", [1], kme, RefreshPolicy(10, 3600),
+                              clock=clock)
     master.pair.release("sae-mec", "sae-client", [other.current_key_id])
-    envelope = channel.encrypt(ctx, b"addressed to context A!", store, kme, clock=clock)
+    envelope = channel.encrypt(ctx, b"addressed to context A!", kme, clock=clock)
     return EncryptedEnvelope(other.current_key_id, envelope.suite_id, envelope.nonce,
                              envelope.ciphertext, envelope.sender_sae)
 
 
-def _envelope_under_unissued_key(host, transport, inst, master, clock, ctx, kme, store):
-    envelope = channel.encrypt(ctx, b"no source", store, kme, clock=clock)
+def _envelope_under_unissued_key(host, transport, inst, master, clock, ctx, kme):
+    envelope = channel.encrypt(ctx, b"no source", kme, clock=clock)
     return EncryptedEnvelope(str(uuid.uuid4()), envelope.suite_id, envelope.nonce,
                              envelope.ciphertext, envelope.sender_sae)
 
 
-def _envelope_under_evicted_key(host, transport, inst, master, clock, ctx, kme, store):
-    # the host fetched the key (the KME released it), then its store evicted
-    # it: nothing can open the next request or seal its reply
-    first = channel.encrypt(ctx, b"first", store, kme, clock=clock)
+def _envelope_under_evicted_key(host, transport, inst, master, clock, ctx, kme):
+    # the host fetched the key (the KME released it), then its key table
+    # evicted it: nothing can open the next request or seal its reply
+    first = channel.encrypt(ctx, b"first", kme, clock=clock)
     assert invoke(host, transport, inst, first).status == 200
     clock.advance(6)
-    return channel.encrypt(ctx, b"second", store, kme, clock=clock)
+    return channel.encrypt(ctx, b"second", kme, clock=clock)
+
+
+def _envelope_under_rolled_out_key(host, transport, inst, master, clock, ctx, kme):
+    # keys K1, K2 and K3 served on one context: the host keeps K2 and K3 only,
+    # and the KME released K1 to the host long ago
+    first, later = (channel.encrypt(ctx, b"K1 %d" % i, kme, clock=clock) for i in range(2))
+    assert invoke(host, transport, inst, first).status == 200
+    for _ in range(2):
+        ctx.uses = ctx.policy.max_uses  # roll over on the next encryption
+        envelope = channel.encrypt(ctx, b"next key", kme, clock=clock)
+        assert invoke(host, transport, inst, envelope).status == 200
+    assert not holds(host._store, first.key_id)
+    return later
 
 
 @pytest.mark.parametrize("make_envelope", [
     _envelope_under_other_context_key,
     _envelope_under_unissued_key,
     _envelope_under_evicted_key,
-], ids=["other-context", "no-source", "evicted"])
+    _envelope_under_rolled_out_key,
+], ids=["other-context", "no-source", "evicted", "rolled-out"])
 def test_unobtainable_key_is_unknown_and_runs_no_handler(make_envelope):
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(max_age=5.0, handlers={"fn-rec": handler})
-    inst = host.deploy(app_doc("fn-rec"), "fn-rec", None)
+    inst = host.deploy(app("fn-rec"), "fn-rec", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock)
-    envelope = make_envelope(host, transport, inst, master, clock, ctx, kme, store)
+    ctx, kme = client_side(master, clock)
+    envelope = make_envelope(host, transport, inst, master, clock, ctx, kme)
     handled = len(calls)
     response = invoke(host, transport, inst, envelope)
     assert response.status == 404
@@ -394,10 +407,10 @@ def test_unobtainable_key_is_unknown_and_runs_no_handler(make_envelope):
 
 def test_malformed_envelope_consumes_no_key():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock)
-    genuine = channel.encrypt(ctx, b"genuine request", store, kme, clock=clock)
+    ctx, kme = client_side(master, clock)
+    genuine = channel.encrypt(ctx, b"genuine request", kme, clock=clock)
     legacy_json = dumps({
         "key_ID": genuine.key_id, "cipher_suite": genuine.suite_id,
         "nonce": base64.b64encode(genuine.nonce).decode(),
@@ -419,33 +432,33 @@ def test_malformed_envelope_consumes_no_key():
 
 def test_key_obtainable_from_exactly_one_place():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock)
-    envelope = channel.encrypt(ctx, b"x", store, kme, clock=clock)
+    ctx, kme = client_side(master, clock)
+    envelope = channel.encrypt(ctx, b"x", kme, clock=clock)
     key_id = envelope.key_id
     assert master.pair.holds_material(key_id)      # before: entity only
-    assert key_id not in host._store
+    assert not holds(host._store, key_id)
     invoke(host, transport, inst, envelope)
-    assert not master.pair.holds_material(key_id)  # after: host store only
-    assert key_id in host._store
+    assert not master.pair.holds_material(key_id)  # after: host key table only
+    assert holds(host._store, key_id)
 
 
 def test_chained_hop():
     host, master, transport, clock = build_host()
-    target = host.deploy(app_doc("fn-upper"), "fn-upper", None)
-    inst = host.deploy(app_doc("fn-echo"), "fn-echo", target.uri)
+    target = host.deploy(app("fn-upper"), "fn-upper", None)
+    inst = host.deploy(app("fn-echo"), "fn-echo", target.uri)
     host.attach_context(inst.uri, CTX)
-    ctx, kme, store = client_side(master, clock)
-    envelope = channel.encrypt(ctx, b"chained text", store, kme, clock=clock)
+    ctx, kme = client_side(master, clock)
+    envelope = channel.encrypt(ctx, b"chained text", kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
     reply = EncryptedEnvelope.from_bytes(response.body)
-    assert channel.decrypt(reply, key_of(reply, store), response=True) == b"CHAINED TEXT"
+    assert channel.decrypt(reply, ctx.key_bits, response=True) == b"CHAINED TEXT"
 
 
 def test_healthz_and_undeploy():
     host, _, transport, _ = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     response = transport.request(src="gateway", channel="data", method="GET",
                                  url=inst.uri + "/healthz")
     assert response.status == 200
@@ -479,6 +492,19 @@ def test_mgmt_wire_surface():
     assert host.used_slots == 0
 
 
+@pytest.mark.parametrize("slots", ["abc", -3, 0, True, 2.5])
+def test_deploy_refuses_a_bad_slot_count(slots):
+    host, _, transport, _ = build_host(slots=1)
+    response = transport.request(
+        src="lcmp", channel="mec-internal", method="POST",
+        url="inproc://edge-a/mgmt/v1/deploy",
+        body=dumps({"app": app_doc(slots=slots), "handler": "fn-echo", "chain_uri": None}),
+    )
+    assert response.status == 400
+    assert host.used_slots == 0
+    assert host.instances() == []
+
+
 @pytest.mark.parametrize("verb, payload", [
     ("undeploy", []),
     ("attach", []),
@@ -492,7 +518,7 @@ def test_mgmt_wire_surface():
         "undeploy-empty-uri", "attach-no-context", "attach-no-uri", "detach-empty-context"])
 def test_mgmt_body_without_its_fields_is_malformed(verb, payload):
     host, _, transport, _ = build_host()
-    inst = host.deploy(app_doc(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None)
     assert inst.uri == "inproc://edge-a/apps/fn-echo-1"
     host.attach_context(inst.uri, CTX)
     response = transport.request(

@@ -5,16 +5,23 @@ import pytest
 from edgeqkd.errors import DuplicateIdError, NotFoundError
 from edgeqkd.keystore import KeyStore
 
+from conftest import holds
+
 
 @pytest.fixture
 def store(sim_clock):
     return KeyStore(sim_clock, max_age_sec=60)
 
 
+def held(store, *key_ids):
+    return [key_id for key_id in key_ids if holds(store, key_id)]
+
+
 def test_put_then_get(store):
     store.put("k1", b"\x01" * 32)
     entry = store.get("k1")
     assert entry.key_bits == b"\x01" * 32
+    assert entry.context_id is None
 
 
 def test_duplicate_put_rejected(store):
@@ -32,11 +39,11 @@ def test_expiry_after_max_age(sim_clock):
     store = KeyStore(sim_clock, max_age_sec=10)
     store.put("k1", b"x" * 32)
     sim_clock.advance(10)
-    assert "k1" in store  # exactly max_age: still alive
+    assert held(store, "k1") == ["k1"]  # exactly max_age: still alive
     sim_clock.advance(0.001)
     with pytest.raises(NotFoundError):
         store.get("k1")
-    assert "k1" not in store
+    assert len(store) == 0
 
 
 def test_reinsert_after_expiry(sim_clock):
@@ -47,9 +54,42 @@ def test_reinsert_after_expiry(sim_clock):
     assert store.get("k1").key_bits == b"new!" * 8
 
 
-def test_purge_and_discard(store):
+def test_discard(store):
     store.put("a", b"1" * 16)
-    store.put("b", b"2" * 16)
-    store.purge(["a"])
-    store.purge(["b", "missing"])
+    store.discard("a")
+    store.discard("missing")
     assert len(store) == 0
+
+
+def test_bind_keeps_current_and_previous_key_per_context(store):
+    for key_id in ("a1", "a2", "a3", "b1"):
+        store.put(key_id, key_id.encode() * 8)
+    store.bind("a1", "ctx-a")
+    store.bind("b1", "ctx-b")
+    store.bind("a2", "ctx-a")
+    assert held(store, "a1", "a2", "a3", "b1") == ["a1", "a2", "a3", "b1"]
+    store.bind("a3", "ctx-a")  # a1 is two keys back: it goes
+    assert held(store, "a1", "a2", "a3", "b1") == ["a2", "a3", "b1"]
+    assert store.get("a3").context_id == "ctx-a"
+
+
+def test_bind_happens_once_per_key(store):
+    store.put("k", b"k" * 32)
+    store.bind("k", "ctx-a")
+    store.bind("k", "ctx-b")  # a later context does not take the key over
+    assert store.get("k").context_id == "ctx-a"
+    store.bind("missing", "ctx-a")  # a key no longer held binds nothing
+    assert len(store) == 1
+
+
+def test_detach_drops_every_key_of_the_context(store):
+    for key_id in ("a1", "a2", "b1", "unbound"):
+        store.put(key_id, key_id.encode() * 8)
+    store.bind("a1", "ctx-a")
+    store.bind("a2", "ctx-a")
+    store.bind("b1", "ctx-b")
+    store.detach("ctx-a")
+    assert held(store, "a1", "a2", "b1", "unbound") == ["b1", "unbound"]
+    store.detach("ctx-a")  # idempotent
+    store.detach("never-bound")
+    assert len(store) == 2
