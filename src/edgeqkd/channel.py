@@ -6,10 +6,13 @@ key-management entity, and payloads then travel as envelopes carrying
 (key_ID, cipher_suite, nonce, ciphertext) with no plaintext. As in ETSI GS
 QKD 014, no set-up message reaches the server: it fetches the key named by
 the first envelope lazily. `decrypt` and `encrypt_response` take the key
-bytes themselves; finding them is the caller's job. A key's length fixes its
-suite: every suite in `SUITES` has its own key length, so `suite_for` checks
-on every envelope that the suite is known and that the key has that suite's
-length. Key identifiers and suite identifiers are not secret and travel in
+itself, a `Key`; finding it is the caller's job. A `Key` holds the key's
+bytes and the AES-GCM object built from them once, so each key holder (the
+client's `SecurityContext`, the host's `keystore.KeyStoreEntry`) keeps the
+cipher beside the bytes, and it goes when they go: sealing and opening never
+build one. A key's length fixes its suite: every suite in `SUITES` has its
+own key length, so `suite_for` checks on every envelope that the suite is
+known and that the key has that suite's length. Key identifiers and suite identifiers are not secret and travel in
 the clear.
 
 An envelope is sent as `application/octet-stream`, with a header in the
@@ -72,6 +75,21 @@ SUITES: Mapping[int, CipherSuite] = MappingProxyType({
 })
 
 
+_AEAD_KEY_BYTES = frozenset(s.key_length // 8 for s in SUITES.values() if s.mode == MODE_AEAD)
+
+
+@dataclass(frozen=True)
+class Key:
+    """A key's bytes and, for an AEAD key, the AES-GCM object built from them
+    (None for a pad)."""
+    bits: bytes = field(repr=False)
+    aead: AESGCM | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "aead",
+                           AESGCM(self.bits) if len(self.bits) in _AEAD_KEY_BYTES else None)
+
+
 def negotiate(offered: Sequence[int], supported: Sequence[int]) -> int:
     """Pick the lowest suite id both sides know; symmetric in its arguments."""
     if not offered or not supported:
@@ -101,7 +119,7 @@ class SecurityContext:
     suite: CipherSuite
     policy: RefreshPolicy
     current_key_id: str = ""
-    key_bits: bytes = field(default=b"", repr=False)  # the current key's bytes
+    key: Key = field(default=Key(b""), repr=False)  # the current key
     established_at: float = 0.0  # when the current key was bound
     uses: int = 0
     lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
@@ -175,11 +193,19 @@ def establish_context(client_sae: str, server_sae: str, offered_suites: Sequence
 
 
 def _roll_over(ctx: SecurityContext, kme, now: float) -> None:
-    """Replace the current key (requests in flight hold its bytes) with a fresh one."""
-    (ctx.current_key_id, ctx.key_bits), = kme.get_enc_keys(
+    """Replace the current key (requests in flight hold the old one) with a fresh one."""
+    (ctx.current_key_id, key_bits), = kme.get_enc_keys(
         ctx.server_sae, size=ctx.suite.key_length, number=1)
+    ctx.key = Key(key_bits)
     ctx.uses = 0
     ctx.established_at = now
+
+
+def retire(ctx: SecurityContext, key_id: str) -> None:
+    """Have the next encryption roll over, if `key_id` is still the current key."""
+    with ctx.lock:
+        if ctx.current_key_id == key_id:
+            ctx.uses = ctx.policy.max_uses
 
 
 def _request_nonce(counter: int) -> bytes:
@@ -210,23 +236,23 @@ def _pad_slice(key_bits: bytes, size: int, response: bool) -> bytes:
     return key_bits[len(key_bits) - size:] if response else key_bits[:size]
 
 
-def _seal(suite: CipherSuite, key_bits: bytes, nonce: bytes, plaintext: bytes,
+def _seal(suite: CipherSuite, key: Key, nonce: bytes, plaintext: bytes,
           aad: bytes, *, response: bool = False) -> bytes:
     if suite.mode == MODE_AEAD:
-        return AESGCM(key_bits).encrypt(nonce, plaintext, aad)
-    return _xor(plaintext, _pad_slice(key_bits, len(plaintext), response))
+        return key.aead.encrypt(nonce, plaintext, aad)
+    return _xor(plaintext, _pad_slice(key.bits, len(plaintext), response))
 
 
-def _open(suite: CipherSuite, key_bits: bytes, nonce: bytes, ciphertext: bytes,
+def _open(suite: CipherSuite, key: Key, nonce: bytes, ciphertext: bytes,
           aad: bytes, *, response: bool = False) -> bytes:
     if suite.mode == MODE_AEAD:
         try:
-            return AESGCM(key_bits).decrypt(nonce, ciphertext, aad)
+            return key.aead.decrypt(nonce, ciphertext, aad)
         except InvalidTag as exc:
             raise AuthFailureError("envelope failed authentication") from exc
         except ValueError as exc:
             raise MalformedError(f"undecryptable envelope: {exc}") from exc
-    return _xor(ciphertext, _pad_slice(key_bits, len(ciphertext), response))
+    return _xor(ciphertext, _pad_slice(key.bits, len(ciphertext), response))
 
 
 def encrypt(ctx: SecurityContext, plaintext: bytes, kme, *,
@@ -238,7 +264,7 @@ def encrypt(ctx: SecurityContext, plaintext: bytes, kme, *,
             _roll_over(ctx, kme, now)
         nonce = _request_nonce(ctx.uses) if ctx.suite.mode == MODE_AEAD else b""
         aad = _aad(ctx.current_key_id, ctx.suite.suite_id, ctx.client_sae)
-        ciphertext = _seal(ctx.suite, ctx.key_bits, nonce, plaintext, aad)
+        ciphertext = _seal(ctx.suite, ctx.key, nonce, plaintext, aad)
         ctx.uses += 1
         return EncryptedEnvelope(
             key_id=ctx.current_key_id, suite_id=ctx.suite.suite_id,
@@ -258,34 +284,32 @@ def suite_for(envelope: EncryptedEnvelope, key_bits: bytes) -> CipherSuite:
     return suite
 
 
-def decrypt(envelope: EncryptedEnvelope, key_bits: bytes, *,
-            response: bool = False) -> bytes:
+def decrypt(envelope: EncryptedEnvelope, key: Key, *, response: bool = False) -> bytes:
     """Open an envelope under the key it names.
 
     `response` selects the reply direction (nonce space and pad half).
     """
-    suite = suite_for(envelope, key_bits)
+    suite = suite_for(envelope, key.bits)
     direction = _DIR_RESPONSE if response else _DIR_REQUEST
     if suite.mode == MODE_AEAD and envelope.nonce[:1] != bytes([direction]):
         # a reply sent back as a request would get its answer sealed under
         # the reply's own nonce: AES-GCM nonce reuse
         raise AuthFailureError("envelope nonce is from the other direction")
     aad = _aad(envelope.key_id, envelope.suite_id, envelope.sender_sae)
-    return _open(suite, key_bits, envelope.nonce, envelope.ciphertext, aad,
-                 response=response)
+    return _open(suite, key, envelope.nonce, envelope.ciphertext, aad, response=response)
 
 
 def encrypt_response(request_envelope: EncryptedEnvelope, plaintext: bytes,
-                     key_bits: bytes, sender_sae: str) -> EncryptedEnvelope:
+                     key: Key, sender_sae: str) -> EncryptedEnvelope:
     """Seal a reply under the key the request used (distinct nonce direction)."""
-    suite = suite_for(request_envelope, key_bits)
+    suite = suite_for(request_envelope, key.bits)
     if suite.mode == MODE_OTP:
         # both directions share one pad; they must not overlap
-        if len(request_envelope.ciphertext) + len(plaintext) > len(key_bits):
+        if len(request_envelope.ciphertext) + len(plaintext) > len(key.bits):
             raise MessageTooLongError("request and reply together exceed the pad")
     nonce = response_nonce(request_envelope.nonce) if suite.mode == MODE_AEAD else b""
     aad = _aad(request_envelope.key_id, request_envelope.suite_id, sender_sae)
-    ciphertext = _seal(suite, key_bits, nonce, plaintext, aad, response=True)
+    ciphertext = _seal(suite, key, nonce, plaintext, aad, response=True)
     return EncryptedEnvelope(
         key_id=request_envelope.key_id, suite_id=request_envelope.suite_id,
         nonce=nonce, ciphertext=ciphertext, sender_sae=sender_sae,

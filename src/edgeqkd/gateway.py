@@ -4,9 +4,11 @@ Client programs speak plain HTTP to the gateway and never see anything
 else. On the first request for a route the gateway discovers the
 application, creates an application context, picks the lowest offered
 cipher suite, and binds a key; afterwards it encrypts request bodies,
-invokes the remote instance, and decrypts responses with the bytes of the
-key that sealed the request, rolling keys per the refresh policy. A route
-holds one key, in its security context, until a rollover or teardown.
+invokes the remote instance, and decrypts responses with the key that
+sealed the request, rolling keys per the refresh policy. A route holds one
+key, in its security context, until a rollover or teardown. When the host
+answers 404 `unknown-key-id`, it will not serve under that key again, so
+the route rolls its key over and retries the request once.
 Establishment is single-flight per route, so a burst of first requests
 costs exactly one context and one key.
 """
@@ -30,6 +32,7 @@ from .errors import (
     NotFoundError,
     UnauthorizedError,
     UnknownContextError,
+    UnknownKeyIdError,
 )
 from .transport import (
     Router,
@@ -162,6 +165,11 @@ class Gateway:
                 last_error = exc
                 self._purge_binding(binding)
                 continue
+            except UnknownKeyIdError as exc:
+                # the host will not serve under the route's key, which is
+                # now retired: retry once under a fresh one
+                last_error = exc
+                continue
         assert last_error is not None
         raise last_error
 
@@ -169,9 +177,9 @@ class Gateway:
         assert binding.security is not None and binding.endpoint_uri is not None
         ctx = binding.security
         with ctx.lock:
-            # read the key's bytes before a later rollover replaces them
+            # read the key before a later rollover replaces it
             envelope = channel.encrypt(ctx, body, self._kme, clock=self._clock)
-            key_bits = ctx.key_bits
+            key = ctx.key
         response = self._transport.request(
             src=self._component, channel="data", method="POST",
             url=binding.endpoint_uri + "/invoke", body=envelope.to_bytes(),
@@ -182,12 +190,18 @@ class Gateway:
             reply = channel.EncryptedEnvelope.from_bytes(response.body)
             if reply.key_id != envelope.key_id:
                 raise AuthFailureError("reply is sealed under another key")
-            plaintext = channel.decrypt(reply, key_bits, response=True)
+            plaintext = channel.decrypt(reply, key, response=True)
             # a sealed handler failure surfaces its decrypted JSON error body
             content_type = "application/octet-stream" if response.status == 200 else "application/json"
             return WireResponse(status=response.status, headers={"content-type": content_type},
                                 body=plaintext)
-        return raise_for_status(response)
+        try:
+            return raise_for_status(response)
+        except UnknownKeyIdError:
+            # say, a copy of the key's first envelope bound it to another
+            # context: the host refuses the key for good
+            channel.retire(ctx, envelope.key_id)
+            raise
 
     def _invoke_plaintext(self, binding: RouteBinding, body: bytes) -> WireResponse:
         assert binding.endpoint_uri is not None

@@ -11,7 +11,13 @@ the host toward the client domain in the clear, handler failures included.
 So a pad serves one request: a second copy of a pad envelope, concurrent or
 later, finds no key and gets 404 `unknown-key-id` before any handler runs.
 The first envelope that authenticates under a key binds it to its context;
-the table (see `keystore`) keeps each context's current and previous key.
+the table (see `keystore`) keeps each context's current and previous key,
+and an envelope naming a key bound to another context gets 404
+`unknown-key-id` too, leaving the key to its own context. The context is
+the one the `x-app-context-id` header names, and nothing authenticates that
+header: a copy of a key's first envelope that arrives first under another
+active context's header binds the key to that context. The gateway then
+gets 404 and rolls its key over once (see `gateway`).
 """
 
 from __future__ import annotations
@@ -174,9 +180,29 @@ class MecHost:
                     raise UnknownKeyIdError(str(exc)) from exc
                 self.dec_fetches += 1
                 entry = self._store.put(envelope.key_id, key_bits)
-            if channel.suite_for(envelope, entry.key_bits).mode == channel.MODE_OTP:
+            if channel.suite_for(envelope, entry.key.bits).mode == channel.MODE_OTP:
                 self._store.discard(envelope.key_id)
         return entry
+
+    def _bind_key(self, instance: MecAppInstance, key_id: str, entry: KeyStoreEntry,
+                  context_id: str) -> None:
+        """Bind a key that has just authenticated to the request's context, or
+        refuse the request if the key is bound to another context.
+
+        Called only once the envelope authenticates, so a forgery binds
+        nothing. Check and bind are one step under the key lock, so of two
+        first uses under different contexts one binds the key and the other
+        is refused.
+        """
+        with self._key_lock:
+            if entry.context_id is None:
+                if context_id in instance.active_contexts:
+                    self._store.bind(key_id, context_id)
+                else:  # the context was detached meanwhile
+                    self._store.discard(key_id)
+            if entry.context_id is not None and entry.context_id != context_id:
+                # the key serves the context it is bound to, and no other
+                raise UnknownKeyIdError(f"key {key_id} is bound to another context")
 
     # -- invocation ----------------------------------------------------------------
 
@@ -185,13 +211,9 @@ class MecHost:
         if context_id is None or context_id not in instance.active_contexts:
             raise ContextDeletedError("no active application context for this instance")
         entry = self._claim_key(envelope)
-        plaintext = channel.decrypt(envelope, entry.key_bits)
-        if entry.context_id is None:  # bound once it authenticates: a forgery binds nothing
-            with self._key_lock:
-                if context_id in instance.active_contexts:
-                    self._store.bind(envelope.key_id, context_id)
-                else:  # the context was detached meanwhile
-                    self._store.discard(envelope.key_id)
+        plaintext = channel.decrypt(envelope, entry.key)
+        if entry.context_id != context_id:
+            self._bind_key(instance, envelope.key_id, entry, context_id)
         headers = {"content-type": "application/octet-stream", "x-envelope": "1"}
         try:
             status, result = 200, self._run(instance, plaintext)
@@ -200,7 +222,7 @@ class MecHost:
             failure = error_response(HandlerError(exc.message))
             status, result = failure.status, failure.body
             headers["x-error-code"] = HandlerError.code
-        sealed = channel.encrypt_response(envelope, result, entry.key_bits, self.sae_id)
+        sealed = channel.encrypt_response(envelope, result, entry.key, self.sae_id)
         return WireResponse(status=status, headers=headers, body=sealed.to_bytes())
 
     def _run(self, instance: MecAppInstance, payload: bytes) -> bytes:

@@ -1,9 +1,11 @@
 """The host's key table. Its owner serialises every call.
 
 Re-inserting a live id is an error, and lookups past the maximum age evict
-the entry and report not-found. An entry holds the key bytes (their length
-fixes the suite, see `channel.SUITES`) and the context first served under
-the key. A context keeps its current and previous key: binding a third drops
+the entry and report not-found. An entry holds the key, built once at
+`put` as a `channel.Key`: its bytes (their length fixes the suite, see
+`channel.SUITES`) and, beside them, their AES-GCM object, which goes
+whenever the entry goes. It also holds the context first served under the
+key. A context keeps its current and previous key: binding a third drops
 the oldest, and detaching the context drops them all.
 """
 
@@ -11,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .channel import Key
 from .clock import Clock
 from .errors import DuplicateIdError, NotFoundError
 
 
 @dataclass
 class KeyStoreEntry:
-    key_bits: bytes
+    key: Key
     inserted_at: float
     context_id: str | None = None  # the context first served under this key
 
@@ -36,7 +39,7 @@ class KeyStore:
         current = self._entries.get(key_id)
         if current is not None and now - current.inserted_at <= self._max_age:
             raise DuplicateIdError(f"key {key_id} already stored")
-        self._entries[key_id] = entry = KeyStoreEntry(key_bits=key_bits, inserted_at=now)
+        self._entries[key_id] = entry = KeyStoreEntry(key=Key(key_bits), inserted_at=now)
         return entry
 
     def get(self, key_id: str) -> KeyStoreEntry:

@@ -1,7 +1,11 @@
 """Message plumbing between components.
 
 Components expose a Router over (method, path) and are reachable through a
-Transport by URL. The in-process transport routes calls directly; the HTTP
+Transport by URL. A Router splits each route once, when it is added, and
+lists it under its method and segment count. So a request walks only the
+routes of its own method and segment count, comparing only their literal
+segments; the first route added that matches wins, and a miss goes to the
+fallback or to 404. The in-process transport routes calls directly; the HTTP
 transport (see httpd) does the same over real sockets. Either way, every
 exchange is recorded in a Transcript as two frames (request and response)
 so scenario metrics and the wiretap can be computed from the record alone.
@@ -57,31 +61,47 @@ def error_response(exc: EdgeQkdError) -> WireResponse:
     return WireResponse(status=exc.http_status, headers=headers, body=encode_error(exc.code, exc.message))
 
 
+_Segments = tuple[tuple[int, str], ...]
+
+
 class Router:
     """Minimal (method, path-pattern) dispatcher; {name} segments capture."""
 
     def __init__(self) -> None:
-        self._routes: list[tuple[str, list[str], Callable[..., WireResponse]]] = []
+        # (method, segment count) -> [(literal segments, captured segments, fn)]
+        # in the order added, each segment as (index, text)
+        self._routes: dict[tuple[str, int], list[tuple[_Segments, _Segments,
+                                                       Callable[..., WireResponse]]]] = {}
         self._fallback: Callable[[WireRequest], WireResponse] | None = None
 
     def add(self, method: str, pattern: str, fn: Callable[..., WireResponse]) -> None:
-        self._routes.append((method.upper(), pattern.strip("/").split("/"), fn))
+        segments = pattern.strip("/").split("/")
+        literals, captures = [], []
+        for index, segment in enumerate(segments):
+            if segment.startswith("{") and segment.endswith("}"):
+                captures.append((index, segment[1:-1]))
+            else:
+                literals.append((index, segment))
+        self._routes.setdefault((method.upper(), len(segments)), []).append(
+            (tuple(literals), tuple(captures), fn))
 
     def set_fallback(self, fn: Callable[[WireRequest], WireResponse]) -> None:
         self._fallback = fn
 
     def _match(self, method: str, path: str) -> tuple[Callable[..., WireResponse], dict[str, str]] | None:
-        segments = path.strip("/").split("/")
-        for route_method, pattern, fn in self._routes:
-            if route_method != method.upper() or len(pattern) != len(segments):
-                continue
-            params: dict[str, str] = {}
-            for expected, actual in zip(pattern, segments):
-                if expected.startswith("{") and expected.endswith("}"):
-                    params[expected[1:-1]] = actual
-                elif expected != actual:
+        path = path.strip("/")
+        routes = self._routes.get((method.upper(), path.count("/") + 1))
+        if routes is None:
+            return None
+        segments = path.split("/")
+        for literals, captures, fn in routes:
+            for index, literal in literals:
+                if segments[index] != literal:
                     break
             else:
+                params = {}
+                for index, name in captures:
+                    params[name] = segments[index]
                 return fn, params
         return None
 
@@ -209,10 +229,11 @@ class Transport:
         parts = urlsplit(url)
         if parts.scheme != self.scheme:
             raise PeerUnreachableError(f"unsupported URL scheme {parts.scheme!r}")
-        query_map = dict(query or {})
-        query_map.update(parse_qsl(parts.query))
+        query_map = dict(query) if query else {}
+        if parts.query:
+            query_map.update(parse_qsl(parts.query))
         request = WireRequest(method=method.upper(), path=parts.path,
-                              headers={k.lower(): v for k, v in (headers or {}).items()},
+                              headers={k.lower(): v for k, v in headers.items()} if headers else {},
                               body=body, query=query_map)
         target = f"{request.method} {parts.path}{_render_query(query_map)}"
         dst = self._destination(parts.netloc)

@@ -3,11 +3,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import example, given, settings, strategies as st
 
 from edgeqkd.channel import (
     SUITES,
     EncryptedEnvelope,
+    Key,
     MODE_OTP,
     RefreshPolicy,
     decrypt,
@@ -36,7 +39,7 @@ SEED = b"\x24" * 32
 
 def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,)):
     """A client context (it holds its current key) plus the server-side kme and
-    key_ID -> key bytes map for manual decrypts."""
+    key_ID -> key map for manual decrypts."""
     master, slave = new_kme_pair(SEED, rate, cap, clock=clock)
     client_kme = LocalKmeClient(master)
     server_kme = LocalKmeClient(slave)
@@ -49,10 +52,10 @@ def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,)):
 
 def server_decrypt(envelope, server_keys, server_kme):
     """Open a request as the host does: fetch its key by key_ID once, keep it,
-    then decrypt with the kept bytes."""
+    then decrypt with the kept key."""
     if envelope.key_id not in server_keys:
-        (_, server_keys[envelope.key_id]), = server_kme.get_dec_keys("sae-client",
-                                                                     [envelope.key_id])
+        (_, key_bits), = server_kme.get_dec_keys("sae-client", [envelope.key_id])
+        server_keys[envelope.key_id] = Key(key_bits)
     return decrypt(envelope, server_keys[envelope.key_id])
 
 
@@ -93,8 +96,8 @@ def test_establish_happy_path(sim_clock):
     ctx, _, _, _, master, _ = make_side(sim_clock)
     assert ctx.suite.suite_id == 1
     assert ctx.uses == 0
-    assert ctx.key_bits is not None
-    assert len(ctx.key_bits) == 32
+    assert ctx.key.bits is not None
+    assert len(ctx.key.bits) == 32
     assert master.pair.dispensed_keys == 1
 
 
@@ -156,6 +159,37 @@ def test_forced_refresh_consumes_two_keys(sim_clock):
     assert master.pair.dispensed_keys == 2
 
 
+def test_rollover_replaces_the_cipher_with_the_key(sim_clock):
+    ctx, kme, server_kme, server_keys, *_ = make_side(sim_clock)
+    encrypt(ctx, b"under the first key", kme, clock=sim_clock)
+    retired = ctx.key
+    ctx.uses = ctx.policy.max_uses  # the next encryption rolls the key over
+    envelope = encrypt(ctx, b"under the second key", kme, clock=sim_clock)
+    # the envelope opens under the new key's bytes, not under the retired key's
+    assert server_decrypt(envelope, server_keys, server_kme) == b"under the second key"
+    assert server_keys[envelope.key_id].bits == ctx.key.bits != retired.bits
+    with pytest.raises(AuthFailureError):
+        decrypt(envelope, retired)
+    # the context keeps no object built from the retired key: its cipher is
+    # the new key's
+    assert all(value is not retired and value is not retired.aead
+               for value in vars(ctx).values())
+    nonce = bytes(12)
+    with pytest.raises(InvalidTag):
+        ctx.key.aead.decrypt(nonce, retired.aead.encrypt(nonce, b"probe", b""), b"")
+    assert ctx.key.aead.decrypt(nonce, AESGCM(ctx.key.bits).encrypt(nonce, b"probe", b""),
+                                b"") == b"probe"
+
+
+def test_only_an_aead_key_gets_a_cipher(sim_clock):
+    aead_ctx, *_ = make_side(sim_clock)
+    pad_ctx, *_ = make_side(sim_clock, offered=(2,))
+    assert isinstance(aead_ctx.key.aead, AESGCM)
+    assert pad_ctx.key.aead is None
+    assert Key(b"k" * 32).aead is not None
+    assert Key(b"p" * 256).aead is None
+
+
 def test_age_based_refresh(sim_clock):
     policy = RefreshPolicy(max_uses=100, max_age_sec=30)
     ctx, kme, *_ = make_side(sim_clock, policy=policy)
@@ -170,10 +204,10 @@ def test_otp_xor_definition(sim_clock):
     ctx, kme, *_ = make_side(sim_clock, offered=(2,))
     plaintext = bytes(range(256))
     envelope = encrypt(ctx, plaintext, kme, clock=sim_clock)
-    pad = ctx.key_bits
+    pad = ctx.key.bits
     assert len(pad) == 256
     assert envelope.ciphertext == bytes(p ^ k for p, k in zip(plaintext, pad))
-    assert decrypt(envelope, ctx.key_bits) == plaintext
+    assert decrypt(envelope, ctx.key) == plaintext
 
 
 def test_otp_message_too_long(sim_clock):
@@ -187,7 +221,7 @@ def test_otp_reply_shares_no_pad_bits(sim_clock):
     request = encrypt(ctx, b"ping-ping-ping", kme, clock=sim_clock)
     assert server_decrypt(request, server_keys, server_kme) == b"ping-ping-ping"
     reply = encrypt_response(request, b"pong-pong", server_keys[request.key_id], "sae-mec")
-    assert decrypt(reply, ctx.key_bits, response=True) == b"pong-pong"
+    assert decrypt(reply, ctx.key, response=True) == b"pong-pong"
     # request pad prefix and reply pad suffix must differ
     assert request.ciphertext[: len(reply.ciphertext)] != reply.ciphertext
 
@@ -246,7 +280,7 @@ def test_response_uses_same_key_distinct_nonce(sim_clock):
     assert reply.key_id == request.key_id
     assert reply.nonce != request.nonce
     assert reply.nonce == response_nonce(request.nonce)
-    assert decrypt(reply, ctx.key_bits, response=True) == b"answer"
+    assert decrypt(reply, ctx.key, response=True) == b"answer"
 
 
 # ---------------------------------------------------------------------------
@@ -394,4 +428,4 @@ def test_nonce_direction_is_checked(sim_clock):
     with pytest.raises(AuthFailureError):
         decrypt(reply, server_keys[reply.key_id])
     with pytest.raises(AuthFailureError):
-        decrypt(request, ctx.key_bits, response=True)
+        decrypt(request, ctx.key, response=True)

@@ -4,6 +4,7 @@ import threading
 import uuid
 from dataclasses import replace
 
+from edgeqkd import channel
 from edgeqkd.channel import EncryptedEnvelope
 from edgeqkd.harness import ScenarioConfig, Stack
 from edgeqkd.host import BUILTIN_HANDLERS
@@ -232,6 +233,29 @@ def test_reply_under_another_key_is_refused():
     response = stack.client_request("/echo", b"second")
     assert response.status == 502
     assert loads(response.body)["code"] == "auth-failure"
+
+
+def test_key_bound_to_another_context_is_rolled_over_once():
+    stack = build()
+    assert stack.client_request("/echo", b"first").status == 200
+    binding = stack.gateway.binding_for("/echo")
+    ctx = binding.security
+    other = str(uuid.uuid4())
+    stack.hosts["edge-a"].attach_context(binding.endpoint_uri, other)
+    # the route's next key reaches the host first in an envelope sent under
+    # the other context's header, which binds the key there
+    channel.retire(ctx, ctx.current_key_id)
+    copy = channel.encrypt(ctx, b"copy", stack.gateway._kme, clock=stack.clock)
+    response = stack.transport.request(
+        src="gateway", channel="data", method="POST", url=binding.endpoint_uri + "/invoke",
+        body=copy.to_bytes(), headers={"x-app-context-id": other})
+    assert response.status == 200
+    dispensed = keys_dispensed(stack)
+    response = stack.client_request("/echo", b"genuine")
+    assert response.status == 200 and response.body == b"genuine"
+    assert ctx.current_key_id != copy.key_id
+    assert keys_dispensed(stack) == dispensed + 1  # one rollover, no rebuild
+    assert contexts_created(stack) == 1
 
 
 def test_delete_behind_gateways_back_triggers_reestablishment():

@@ -15,7 +15,7 @@ from edgeqkd.harness import (
     run_scenario,
     wiretap_assert,
 )
-from edgeqkd.transport import Transcript
+from edgeqkd.transport import Record, Transcript
 
 SEED_HEX = "9c" * 32
 
@@ -227,6 +227,32 @@ def test_wiretap_scans_only_inter_domain_channels():
     result = run_scenario(ScenarioConfig.from_doc(echo_doc()))
     report = wiretap_assert(result.records, [b"/enc_keys"])
     assert report.passed
+
+
+LONG_NEEDLE = bytes(range(32, 127)) * 2  # 190 bytes: searched for behind its first 64
+
+
+def data_frame(payload):
+    return Record(0.0, "gateway", "edge-a", "data", payload)
+
+
+def test_wiretap_long_needle_whose_prefix_alone_occurs_is_no_finding():
+    frames = [data_frame(b"head " + LONG_NEEDLE[:64] + b" tail"),
+              data_frame(LONG_NEEDLE[:-1])]
+    report = wiretap_assert(frames, [LONG_NEEDLE])
+    assert report.passed and report.frames_scanned == 2
+
+
+def test_wiretap_long_needle_split_across_two_frames_is_no_finding():
+    frames = [data_frame(b"head " + LONG_NEEDLE[:100]), data_frame(LONG_NEEDLE[100:] + b" tail")]
+    assert wiretap_assert(frames, [LONG_NEEDLE]).passed
+
+
+def test_wiretap_finds_a_long_needle_whole_in_one_frame():
+    frames = [data_frame(b"x"), data_frame(b"head " + LONG_NEEDLE + b" tail"),
+              Record(0.0, "kme-client", "gateway", "qkd", LONG_NEEDLE)]
+    report = wiretap_assert(frames, [b"short", LONG_NEEDLE])
+    assert [(f.record_index, f.channel) for f in report.findings] == [(1, "data")]
 
 
 def test_explicit_forbidden_plaintexts_config():

@@ -107,7 +107,7 @@ def roundtrip(host, master, transport, clock, body, handler="fn-echo", policy=No
     envelope = channel.encrypt(ctx, body, kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
     reply = EncryptedEnvelope.from_bytes(response.body)
-    plaintext = channel.decrypt(reply, ctx.key_bits, response=True)
+    plaintext = channel.decrypt(reply, ctx.key, response=True)
     return response, reply, plaintext, envelope
 
 
@@ -144,7 +144,7 @@ def test_handler_error_is_encrypted():
     assert response.headers.get("x-envelope") == "1"
     assert secret not in response.body  # failure detail leaves only sealed
     reply = EncryptedEnvelope.from_bytes(response.body)
-    detail = loads(channel.decrypt(reply, ctx.key_bits, response=True))
+    detail = loads(channel.decrypt(reply, ctx.key, response=True))
     assert detail["code"] == "handler-error"
     assert "not JSON" in detail["message"]  # the shape of every other error body
 
@@ -232,7 +232,7 @@ def test_forged_suite_on_a_seen_key_does_not_block_the_genuine_request():
     response = invoke(host, transport, inst, genuine)
     assert response.status == 200
     reply = EncryptedEnvelope.from_bytes(response.body)
-    assert channel.decrypt(reply, ctx.key_bits, response=True) == b"genuine request"
+    assert channel.decrypt(reply, ctx.key, response=True) == b"genuine request"
 
 
 def test_reflected_reply_is_refused():
@@ -405,6 +405,81 @@ def test_unobtainable_key_is_unknown_and_runs_no_handler(make_envelope):
     assert len(calls) == handled
 
 
+OTHER_CTX = "99999999-2222-4333-8444-555555555555"
+
+
+def two_contexts_on_one_instance():
+    handler, calls = recording_handler()
+    host, master, transport, clock = build_host(handlers={"fn-rec": handler})
+    inst = host.deploy(app("fn-rec"), "fn-rec", None)
+    host.attach_context(inst.uri, CTX)
+    host.attach_context(inst.uri, OTHER_CTX)
+    ctx, kme = client_side(master, clock)
+    return host, transport, clock, inst, ctx, kme, calls
+
+
+def test_key_bound_to_another_context_is_refused_and_kept():
+    host, transport, clock, inst, ctx, kme, calls = two_contexts_on_one_instance()
+    first = channel.encrypt(ctx, b"as context A", kme, clock=clock)
+    assert invoke(host, transport, inst, first).status == 200  # binds the key to CTX
+    second = channel.encrypt(ctx, b"as context B", kme, clock=clock)
+    response = invoke(host, transport, inst, second, context_id=OTHER_CTX)
+    assert response.status == 404
+    assert loads(response.body)["code"] == "unknown-key-id"
+    assert "x-envelope" not in response.headers
+    assert calls == [b"as context A"]
+    # the key still serves its own context
+    assert host._store.get(first.key_id).context_id == CTX
+    third = channel.encrypt(ctx, b"as context A again", kme, clock=clock)
+    response = invoke(host, transport, inst, third)
+    assert response.status == 200
+    reply = EncryptedEnvelope.from_bytes(response.body)
+    assert channel.decrypt(reply, ctx.key, response=True) == b"as context A again"
+
+
+def test_copy_under_another_contexts_header_that_arrives_first_takes_the_key():
+    # nothing authenticates the context header, so the copy binds the key to
+    # the context it names, and the genuine request is refused (the gateway
+    # then rolls its key over, see test_gateway)
+    host, transport, clock, inst, ctx, kme, calls = two_contexts_on_one_instance()
+    first = channel.encrypt(ctx, b"first request", kme, clock=clock)
+    assert invoke(host, transport, inst, first, context_id=OTHER_CTX).status == 200
+    response = invoke(host, transport, inst, first)
+    assert response.status == 404
+    assert loads(response.body)["code"] == "unknown-key-id"
+    assert calls == [b"first request"]
+    assert host._store.get(first.key_id).context_id == OTHER_CTX
+
+
+def test_racing_first_uses_under_two_contexts_serve_one(monkeypatch):
+    host, transport, clock, inst, ctx, kme, calls = two_contexts_on_one_instance()
+    first = channel.encrypt(ctx, b"first request", kme, clock=clock)
+    both_opened = threading.Barrier(2, timeout=10)
+    real_decrypt = channel.decrypt
+
+    def decrypt_then_wait(*args, **kwargs):
+        plaintext = real_decrypt(*args, **kwargs)
+        both_opened.wait()  # neither request has bound the key yet
+        return plaintext
+
+    monkeypatch.setattr(channel, "decrypt", decrypt_then_wait)
+    statuses = {}
+
+    def send(context_id):
+        statuses[context_id] = invoke(host, transport, inst, first, context_id=context_id).status
+
+    threads = [threading.Thread(target=send, args=(c,)) for c in (CTX, OTHER_CTX)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    bound = host._store.get(first.key_id).context_id
+    assert statuses[bound] == 200  # the one served binds the key
+    assert sorted(statuses.values()) == [200, 404]
+    assert calls == [b"first request"]
+
+
 def test_malformed_envelope_consumes_no_key():
     host, master, transport, clock = build_host()
     inst = host.deploy(app(), "fn-echo", None)
@@ -453,7 +528,7 @@ def test_chained_hop():
     envelope = channel.encrypt(ctx, b"chained text", kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
     reply = EncryptedEnvelope.from_bytes(response.body)
-    assert channel.decrypt(reply, ctx.key_bits, response=True) == b"CHAINED TEXT"
+    assert channel.decrypt(reply, ctx.key, response=True) == b"CHAINED TEXT"
 
 
 def test_healthz_and_undeploy():

@@ -1,6 +1,6 @@
-"""Stateful test of the host's key table under requests, replays, rollovers
-and context detaches: it holds each attached context's current and previous
-key and nothing else."""
+"""Stateful test of the host's key table under requests, replays, envelopes
+sent under another context's header, rollovers and context detaches: it holds
+each attached context's current and previous key and nothing else."""
 
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ class HostKeyTable(RuleBasedStateMachine):
             headers={"x-app-context-id": context_id, "content-type": "application/octet-stream"},
         )
 
-    def _expect(self, context_id, envelope, status, key_bits=None):
+    def _expect(self, context_id, envelope, status, ctx=None):
         calls = self.calls
         response = self._invoke(context_id, envelope)
         assert response.status == status, (response.status, response.body)
@@ -89,7 +89,8 @@ class HostKeyTable(RuleBasedStateMachine):
             assert self.calls == calls  # no handler ran
             return
         reply = EncryptedEnvelope.from_bytes(response.body)
-        assert channel.decrypt(reply, key_bits, response=True) == b"request %d" % self.sent
+        plaintext = channel.decrypt(reply, ctx.key, response=True)
+        assert plaintext == b"request %d" % self.sent
 
     @rule(context_id=st.sampled_from(CONTEXTS))
     def send_fresh_request(self, context_id):
@@ -100,7 +101,7 @@ class HostKeyTable(RuleBasedStateMachine):
         if context_id in self.detached:
             self._expect(context_id, envelope, 410)
             return
-        self._expect(context_id, envelope, 200, ctx.key_bits)
+        self._expect(context_id, envelope, 200, ctx)
         self.captured.append((context_id, envelope))
         if ctx.suite.mode == channel.MODE_OTP:
             self.pads.append(envelope.key_id)
@@ -121,6 +122,14 @@ class HostKeyTable(RuleBasedStateMachine):
             response = self._invoke(context_id, envelope)
             assert response.status == 200
             assert self.calls == calls + 1
+
+    @precondition(lambda self: any(c == CONTEXTS[0] for c, _ in self.captured))
+    @rule(data=st.data())
+    def send_under_the_other_contexts_header(self, data):
+        # an AEAD envelope whose key is bound to its own context, or already
+        # gone, is refused under the other context's header
+        envelope = data.draw(st.sampled_from([e for c, e in self.captured if c == CONTEXTS[0]]))
+        self._expect(CONTEXTS[1], envelope, 410 if CONTEXTS[1] in self.detached else 404)
 
     @rule(context_id=st.sampled_from(CONTEXTS))
     def roll_over(self, context_id):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from edgeqkd.errors import DuplicateIdError, NotFoundError
 from edgeqkd.keystore import KeyStore
@@ -20,8 +24,10 @@ def held(store, *key_ids):
 def test_put_then_get(store):
     store.put("k1", b"\x01" * 32)
     entry = store.get("k1")
-    assert entry.key_bits == b"\x01" * 32
+    assert entry.key.bits == b"\x01" * 32
+    assert isinstance(entry.key.aead, AESGCM)
     assert entry.context_id is None
+    assert store.put("pad", b"\x02" * 256).key.aead is None  # a pad has no AES-GCM object
 
 
 def test_duplicate_put_rejected(store):
@@ -51,7 +57,7 @@ def test_reinsert_after_expiry(sim_clock):
     store.put("k1", b"old!" * 8)
     sim_clock.advance(6)
     store.put("k1", b"new!" * 8)  # stale slot may be reused
-    assert store.get("k1").key_bits == b"new!" * 8
+    assert store.get("k1").key.bits == b"new!" * 8
 
 
 def test_discard(store):
@@ -93,3 +99,37 @@ def test_detach_drops_every_key_of_the_context(store):
     store.detach("ctx-a")  # idempotent
     store.detach("never-bound")
     assert len(store) == 2
+
+
+def _discard(store, clock):
+    store.discard("k")
+
+
+def _detach(store, clock):
+    store.bind("k", "ctx-a")
+    store.detach("ctx-a")
+
+
+def _third_bind(store, clock):
+    store.bind("k", "ctx-a")
+    for key_id in ("k2", "k3"):
+        store.put(key_id, key_id.encode() * 16)
+        store.bind(key_id, "ctx-a")
+
+
+def _expire(store, clock):
+    clock.advance(61)
+    with pytest.raises(NotFoundError):
+        store.get("k")
+
+
+@pytest.mark.parametrize("drop", [_discard, _detach, _third_bind, _expire],
+                         ids=["discard", "detach", "third-bind", "expiry"])
+def test_dropping_an_entry_drops_its_cipher(store, sim_clock, drop):
+    entry = store.put("k", b"k" * 32)
+    key = weakref.ref(entry.key)  # the key's bytes and their AES-GCM object
+    del entry
+    drop(store, sim_clock)
+    assert not holds(store, "k")
+    gc.collect()
+    assert key() is None
