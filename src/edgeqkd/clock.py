@@ -17,15 +17,20 @@ class SystemClock(Clock):
 
 
 class SimulatedClock(Clock):
-    """Manually advanced clock; never moves backwards."""
+    """Manually advanced clock; never moves backwards.
+
+    `now` reads the current time without the lock: one attribute read is
+    atomic, and it is the clock's hottest call (each transcript frame and each
+    key-table lookup makes one). `advance` and `advance_to` keep the lock, so
+    two concurrent steps cannot lose one another.
+    """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
         self._lock = threading.Lock()
 
     def now(self) -> float:
-        with self._lock:
-            return self._now
+        return self._now
 
     def advance(self, seconds: float) -> float:
         if seconds < 0:

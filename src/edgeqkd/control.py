@@ -300,18 +300,28 @@ class Meo:
             if instance.chain_uri is not None:
                 self._release_ref_locked(instance.chain_uri)
 
+    def _chain_locked(self, uri: str | None) -> list[tuple[str, str]]:
+        """(host id, uri) of the instance at `uri` and of each hop it chains to."""
+        hops = []
+        while uri is not None:
+            host, instance = self._find_instance(uri)
+            hops.append((host.host_id, uri))
+            uri = instance.chain_uri
+        return hops
+
     def acquire(self, entry: CatalogEntry, context_id: str) -> str:
-        """Place (or reuse) an instance for a new context; returns its URI."""
+        """Place (or reuse) an instance for a new context and attach the
+        context to it and to every hop of its chain; returns its URI."""
         with self._lock:
             instance = self._acquire_instance_locked(entry)
-            host, _ = self._find_instance(instance.uri)
-            self._commanders[host.host_id].attach(instance.uri, context_id)
+            for host_id, uri in self._chain_locked(instance.uri):
+                self._commanders[host_id].attach(uri, context_id)
             return instance.uri
 
     def release(self, uri: str, context_id: str) -> None:
         with self._lock:
-            host, _ = self._find_instance(uri)
-            self._commanders[host.host_id].detach(uri, context_id)
+            for host_id, hop in self._chain_locked(uri):
+                self._commanders[host_id].detach(hop, context_id)
             self._release_ref_locked(uri)
 
 

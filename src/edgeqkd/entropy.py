@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import uuid
 
 _BLOCK = 64  # blake2b digest size
 
@@ -55,8 +54,14 @@ def make_stream(seed: bytes | None, domain: str) -> ByteStream:
 
 
 def uuid4_from(stream: ByteStream) -> str:
-    """Draw a random-format UUID (lowercase, hyphenated) from a byte stream."""
+    """Draw a random-format UUID (lowercase, hyphenated) from a byte stream.
+
+    The version and variant bits are set as RFC 9562 §5.4 says, and the hex
+    of the 16 bytes is grouped 8-4-4-4-12 directly, so the text is exactly
+    what `str(uuid.UUID(bytes=...))` gives without building a UUID object.
+    """
     raw = bytearray(stream.read(16))
     raw[6] = (raw[6] & 0x0F) | 0x40
     raw[8] = (raw[8] & 0x3F) | 0x80
-    return str(uuid.UUID(bytes=bytes(raw)))
+    h = raw.hex()
+    return f"{h[:8]}-{h[8:12]}-{h[12:16]}-{h[16:20]}-{h[20:]}"

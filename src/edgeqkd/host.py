@@ -18,6 +18,12 @@ the one the `x-app-context-id` header names, and nothing authenticates that
 header: a copy of a key's first envelope that arrives first under another
 active context's header binds the key to that context. The gateway then
 gets 404 and rolls its key over once (see `gateway`).
+
+The plaintext entry point (`invoke_plain`, for a route configured without
+encryption and for the chained hop) runs a handler only for a context that
+is active on its instance, as `invoke` does. The orchestrator attaches a
+context to every instance of a chain, and the chained hop sends the context
+header on.
 """
 
 from __future__ import annotations
@@ -206,17 +212,21 @@ class MecHost:
 
     # -- invocation ----------------------------------------------------------------
 
+    @staticmethod
+    def _require_context(instance: MecAppInstance, context_id: str | None) -> None:
+        if context_id not in instance.active_contexts:
+            raise ContextDeletedError("no active application context for this instance")
+
     def invoke(self, instance: MecAppInstance, context_id: str | None,
                envelope: channel.EncryptedEnvelope) -> WireResponse:
-        if context_id is None or context_id not in instance.active_contexts:
-            raise ContextDeletedError("no active application context for this instance")
+        self._require_context(instance, context_id)
         entry = self._claim_key(envelope)
         plaintext = channel.decrypt(envelope, entry.key)
         if entry.context_id != context_id:
             self._bind_key(instance, envelope.key_id, entry, context_id)
         headers = {"content-type": "application/octet-stream", "x-envelope": "1"}
         try:
-            status, result = 200, self._run(instance, plaintext)
+            status, result = 200, self._run(instance, plaintext, context_id)
         except EdgeQkdError as exc:
             # whatever went wrong mid-execution, the detail leaves sealed only
             failure = error_response(HandlerError(exc.message))
@@ -225,23 +235,24 @@ class MecHost:
         sealed = channel.encrypt_response(envelope, result, entry.key, self.sae_id)
         return WireResponse(status=status, headers=headers, body=sealed.to_bytes())
 
-    def _run(self, instance: MecAppInstance, payload: bytes) -> bytes:
+    def _run(self, instance: MecAppInstance, payload: bytes, context_id: str) -> bytes:
         """Run the instance's handler, then its chained hop if it has one."""
         try:
             result = instance.handler(payload)
             if instance.chain_uri is not None:
-                result = self._invoke_chained(instance.chain_uri, result)
+                result = self._invoke_chained(instance.chain_uri, result, context_id)
         except EdgeQkdError:
             raise
         except Exception as exc:
             raise HandlerError(str(exc)) from exc
         return result
 
-    def _invoke_chained(self, chain_uri: str, payload: bytes) -> bytes:
+    def _invoke_chained(self, chain_uri: str, payload: bytes, context_id: str) -> bytes:
         # second hop stays inside the perimeter, no envelope required
         response = self._transport.request(
             src=self.host_id, channel="mec-internal", method="POST",
             url=chain_uri + "/invoke_plain", body=payload,
+            headers={"x-app-context-id": context_id},
         )
         if response.status != 200:
             raise EdgeQkdError(f"chained invocation failed with {response.status}")
@@ -297,7 +308,10 @@ class MecHost:
         return self.invoke(instance, request.headers.get("x-app-context-id"), envelope)
 
     def _w_invoke_plain(self, request: WireRequest, segment: str):
-        result = self._run(self._instance(segment), request.body)
+        instance = self._instance(segment)
+        context_id = request.headers.get("x-app-context-id")
+        self._require_context(instance, context_id)
+        result = self._run(instance, request.body, context_id)
         return WireResponse(status=200, headers={"content-type": "application/octet-stream"},
                             body=result)
 

@@ -50,7 +50,7 @@ MASTER = "master"
 SLAVE = "slave"
 
 
-@dataclass
+@dataclass(slots=True)
 class KeyRecord:
     key_id: str
     key_bits: bytes | None  # purged (None) once the slave side has consumed it
@@ -153,6 +153,13 @@ class KmePair:
 
     def dispense(self, caller_sae: str, slave_sae: str, key_length: int,
                  count: int) -> list[tuple[str, bytes]]:
+        """`count` fresh keys of `key_length` bits, each with its new key_ID.
+
+        The batch is taken from the pool in one draw and cut into keys. A
+        stream gives the same bytes read at once or in pieces, so a batch of
+        k keys equals k single dispenses from the same state. A batch over
+        budget draws nothing.
+        """
         if key_length <= 0 or key_length % 8 != 0:
             raise BadLengthError(f"key length {key_length} is not a positive multiple of 8")
         if count < 1 or count > DEFAULT_MAX_KEYS_PER_REQUEST:
@@ -162,11 +169,12 @@ class KmePair:
                 f"no master link {caller_sae!r} -> {slave_sae!r} on this entity"
             )
         with self._lock:
-            # all-or-nothing: budget checked for the whole batch up front
-            self.pool.require(count * key_length)
+            # all-or-nothing: one draw checks the budget for the whole batch
+            material = self.pool.draw(count * key_length)
+            size = key_length // 8
             out: list[tuple[str, bytes]] = []
-            for _ in range(count):
-                key = self.pool.draw(key_length)
+            for offset in range(0, len(material), size):
+                key = material[offset:offset + size]
                 key_id = uuid4_from(self._ids)
                 self._records[key_id] = KeyRecord(
                     key_id=key_id, key_bits=key,

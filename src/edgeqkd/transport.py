@@ -131,8 +131,10 @@ def _render_query(query: Mapping[str, str]) -> str:
 
 
 def frame(first_line: str, headers: Mapping[str, str], body: bytes) -> bytes:
-    head = [first_line] + [f"{k}: {v}" for k, v in sorted(headers.items())]
-    return ("\n".join(head) + "\n\n").encode("utf-8") + body
+    head = first_line
+    for name in sorted(headers):
+        head += f"\n{name}: {headers[name]}"
+    return (head + "\n\n").encode("utf-8") + body
 
 
 _RECORD_KEYS = ("ts", "from", "to", "channel", "payload_b64")

@@ -5,6 +5,13 @@ exchanged between key-management servers and their application-side clients.
 Encoding is canonical (fixed field order, compact separators) so equal values
 always serialize to identical bytes; decoding tolerates unknown extra fields
 but is strict about missing or ill-typed required ones.
+
+The JSON encoder and decoder are built once, at import, and shared by every
+call. A byte body is decoded as UTF-8, the one encoding RFC 8259 §8.1 allows
+between systems; a UTF-16 or UTF-32 body, or one that starts with a byte
+order mark, is malformed. A key_ID already in canonical form (lowercase,
+hyphenated) is checked with one regular expression; only other spellings
+are parsed and canonicalised by `uuid.UUID`.
 """
 
 from __future__ import annotations
@@ -12,19 +19,28 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import re
 import uuid
 from typing import Any, Iterable, Mapping
 
 from .errors import MalformedError
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # ensure_ascii, so the bytes are ASCII
+_DECODER = json.JSONDecoder()
+_CANONICAL_UUID = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
+
+
 def dumps(obj: Any) -> bytes:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+    return _ENCODER.encode(obj).encode("ascii")
 
 
 def loads(data: bytes | str) -> Any:
+    """A JSON value from a str, or from bytes holding UTF-8 without a byte order mark."""
     try:
-        return json.loads(data)
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
+        return _DECODER.decode(data)
     except (ValueError, UnicodeDecodeError) as exc:
         raise MalformedError(f"invalid JSON: {exc}") from exc
 
@@ -45,6 +61,8 @@ def b64decode(text: str) -> bytes:
 def _require_uuid(value: Any) -> str:
     if not isinstance(value, str):
         raise MalformedError("key_ID must be a string")
+    if _CANONICAL_UUID.fullmatch(value):
+        return value
     try:
         return str(uuid.UUID(value))
     except ValueError as exc:

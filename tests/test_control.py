@@ -294,6 +294,23 @@ def test_chain_deploys_and_reaps_with_parent():
     assert hosts["edge-a"].used_slots == 0
 
 
+def test_context_is_attached_along_the_whole_chain():
+    upper = CatalogEntry(app=app("fn-upper"), handler="fn-upper")  # shareable hop
+    chained = CatalogEntry(app=app("fn-echo"), handler="fn-echo",
+                           chain_to=upper.app.key, shareable=False)
+    lcmp, _, hosts, _ = build_control_plane([chained, upper], {"edge-a": 4})
+    first = lcmp.create_context(chained.app.key)
+    second = lcmp.create_context(chained.app.key)
+
+    def contexts():
+        return {i.uri.rsplit("/", 1)[-1]: i.active_contexts for i in hosts["edge-a"].instances()}
+
+    one, two = first.context_id, second.context_id
+    assert contexts() == {"fn-upper-1": {one, two}, "fn-echo-2": {one}, "fn-echo-3": {two}}
+    lcmp.delete_context(one)
+    assert contexts() == {"fn-upper-1": {two}, "fn-echo-3": {two}}
+
+
 def test_mx2_wire_surface():
     lcmp, _, _, transport = build_control_plane([ECHO], {"edge-a": 2})
     transport.register("lcmp", lcmp.router())

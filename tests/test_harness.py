@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,7 @@ from edgeqkd.harness import (
     run_scenario,
     wiretap_assert,
 )
-from edgeqkd.transport import Record, Transcript
+from edgeqkd.transport import Record, Transcript, frame
 
 SEED_HEX = "9c" * 32
 
@@ -145,6 +148,24 @@ def test_transcript_ndjson_bytes():
     )
 
 
+def joined_frame(first_line, headers, body):
+    """`frame` as first written, a list of lines joined: the oracle for its bytes."""
+    head = [first_line] + [f"{k}: {v}" for k, v in sorted(headers.items())]
+    return ("\n".join(head) + "\n\n").encode("utf-8") + body
+
+
+def test_frame_sorts_its_headers():
+    assert frame("REQ GET /x", {"x-b": "2", "a": "1"}, b"body") == b"REQ GET /x\na: 1\nx-b: 2\n\nbody"
+
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@given(TEXT, st.dictionaries(TEXT, TEXT, max_size=4), st.binary(max_size=16))
+def test_frame_equals_a_joined_head(first_line, headers, body):
+    assert frame(first_line, headers, body) == joined_frame(first_line, headers, body)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(
     st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -170,6 +191,23 @@ def test_reproducibility_same_seed():
     b = run_scenario(ScenarioConfig.from_doc(doc))
     assert a.transcript_ndjson() == b.transcript_ndjson()
     assert a.metrics.to_doc() == b.metrics.to_doc()
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "scenario.example.json"
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "2d7d52e4a0b626326e5f2d152ca35d8d283dd8fb7e9fddd651f5b50041fd8d7a"),
+    ({"policy": {"max_uses": 1, "max_age_sec": 600}},
+     "1f9853db72c2a7c5b64c7da6e6894a1d458b1cba55fc2ed9495c8bc4abede8e6"),
+    ({"offered_suites": [2]},  # the pad exhausts the pool: 11 key-exhausted replies
+     "566aabb2c7c0af418d389b9792820be5ff6d086597b5d2fbd58d7bbf6532cbaa"),
+], ids=["example", "fresh-key-per-request", "one-time-pad"])
+def test_transcript_bytes_are_pinned(overrides, digest):
+    # any change to a wire byte, a key or a key_ID changes the digest
+    doc = dict(json.loads(EXAMPLE.read_bytes()), **overrides)
+    transcript = run_scenario(ScenarioConfig.from_doc(doc)).transcript_ndjson()
+    assert hashlib.sha256(transcript).hexdigest() == digest
 
 
 def test_different_seed_changes_keys():

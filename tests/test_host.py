@@ -525,10 +525,48 @@ def test_chained_hop():
     inst = host.deploy(app("fn-echo"), "fn-echo", target.uri)
     host.attach_context(inst.uri, CTX)
     ctx, kme = client_side(master, clock)
+    # the hop serves only a context attached to it as well
     envelope = channel.encrypt(ctx, b"chained text", kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
+    assert (response.status, response.headers["x-error-code"]) == (500, "handler-error")
+    host.attach_context(target.uri, CTX)
+    envelope = channel.encrypt(ctx, b"chained text", kme, clock=clock)
+    response = invoke(host, transport, inst, envelope)
+    assert response.status == 200
     reply = EncryptedEnvelope.from_bytes(response.body)
     assert channel.decrypt(reply, ctx.key, response=True) == b"CHAINED TEXT"
+
+
+def invoke_plain(transport, inst, body, context_id):
+    headers = {"x-app-context-id": context_id} if context_id is not None else None
+    return transport.request(src="gateway", channel="data", method="POST",
+                             url=inst.uri + "/invoke_plain", body=body, headers=headers)
+
+
+@pytest.mark.parametrize("context_id", [None, "", OTHER_CTX, CTX],
+                         ids=["no-header", "empty", "other-instances-context", "detached"])
+def test_invoke_plain_runs_nothing_without_an_active_context(context_id):
+    handler, calls = recording_handler()
+    host, _, transport, _ = build_host(handlers={"fn-echo": handler})
+    inst = host.deploy(app(), "fn-echo", None)
+    other = host.deploy(app(), "fn-echo", None)
+    host.attach_context(other.uri, OTHER_CTX)
+    host.attach_context(inst.uri, CTX)
+    host.detach_context(inst.uri, CTX)
+    response = invoke_plain(transport, inst, b"in the clear", context_id)
+    assert response.status == 410
+    assert loads(response.body)["code"] == "context-deleted"
+    assert calls == []
+
+
+def test_invoke_plain_serves_an_active_context():
+    handler, calls = recording_handler()
+    host, _, transport, _ = build_host(handlers={"fn-echo": handler})
+    inst = host.deploy(app(), "fn-echo", None)
+    host.attach_context(inst.uri, CTX)
+    response = invoke_plain(transport, inst, b"in the clear", CTX)
+    assert (response.status, response.body) == (200, b"in the clear")
+    assert calls == [b"in the clear"]
 
 
 def test_healthz_and_undeploy():

@@ -62,6 +62,37 @@ def test_same_seed_reproduces_key_stream():
     assert transcripts[0] == transcripts[1]
 
 
+@settings(max_examples=40)
+@given(count=st.integers(1, 16), key_length=st.sampled_from([8, 64, 256, 1024]),
+       warmup=st.integers(0, 3))
+def test_batch_equals_single_dispenses(count, key_length, warmup):
+    batched, single = make_pair(cap=1 << 16)[0], make_pair(cap=1 << 16)[0]
+    for master in (batched, single):
+        for _ in range(warmup):
+            master.get_enc_keys("sae-client", "sae-mec", 256, 1)
+    keys = batched.get_enc_keys("sae-client", "sae-mec", key_length, count)
+    assert keys == [key for _ in range(count)
+                    for key in single.get_enc_keys("sae-client", "sae-mec", key_length, 1)]
+    assert batched.pair.stats() == single.pair.stats()
+    assert [len(key) for _, key in keys] == [key_length // 8] * count
+
+
+def test_batch_over_budget_draws_nothing():
+    master, _ = make_pair(rate=0, cap=1024)
+    master.get_enc_keys("sae-client", "sae-mec", 256, 1)
+    pair = master.pair
+    before = (pair.stats(), pair.pool._bits._counter, pair.pool._bits._buffer, pair._ids._buffer)
+    with pytest.raises(KeyExhaustedError):
+        master.get_enc_keys("sae-client", "sae-mec", 256, 4)  # 768 bits left
+    after = (pair.stats(), pair.pool._bits._counter, pair.pool._bits._buffer, pair._ids._buffer)
+    assert after == before
+    assert pair.pool.dispensed_bits == 256
+    # what the refused batch would have taken is still the next material
+    expected = make_pair(rate=0, cap=1024)[0]
+    assert master.get_enc_keys("sae-client", "sae-mec", 256, 3) == \
+        expected.get_enc_keys("sae-client", "sae-mec", 256, 4)[1:]
+
+
 def test_dispense_decrements_budget():
     master, _ = make_pair(rate=0, cap=300)
     keys = master.get_enc_keys("sae-client", "sae-mec", 256, 1)
@@ -159,6 +190,22 @@ def test_rest_rejects_a_zero_or_boolean_number(method, path, body):
                                  url="inproc://kme-client" + path, body=body)
     assert response.status == 400
     assert loads(response.body)["code"] == "bad-length"
+    assert master.pair.dispensed_keys == 0
+
+
+@pytest.mark.parametrize("body", [
+    '{"number":1,"size":256}'.encode("utf-16"),
+    b"\xef\xbb\xbf" + b'{"number":1,"size":256}',
+], ids=["utf-16", "utf-8-bom"])
+def test_rest_answers_json_that_is_not_plain_utf8_as_malformed(body):
+    master, _ = make_pair()
+    transport = InprocTransport(clock=SimulatedClock())
+    transport.register("kme-client", KmeApi(master).router())
+    response = transport.request(src="gateway", channel="qkd", method="POST",
+                                 url="inproc://kme-client/api/v1/keys/sae-mec/enc_keys",
+                                 body=body)
+    assert response.status == 400
+    assert loads(response.body)["code"] == "malformed"
     assert master.pair.dispensed_keys == 0
 
 

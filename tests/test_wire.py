@@ -1,19 +1,25 @@
 from __future__ import annotations
 
 import base64
+import codecs
+import json
 import uuid
 
 import pytest
 from hypothesis import given, strategies as st
 
+from edgeqkd.entropy import ByteStream, uuid4_from
 from edgeqkd.errors import MalformedError
 from edgeqkd.wire import (
+    _require_uuid,
     decode_error,
     decode_key_container,
     decode_status,
+    dumps,
     encode_error,
     encode_key_container,
     encode_status,
+    loads,
 )
 
 KEY_ID = "7f9c24e5-1cae-4b6e-9d3a-0123456789ab"
@@ -95,3 +101,114 @@ def test_error_roundtrip():
 def test_error_decode_degrades():
     code, _ = decode_error(b"\xff\xfenot json")
     assert code == "internal-error"
+
+
+# ---------------------------------------------------------------------------
+# Each codec gives what the standard library gives
+# ---------------------------------------------------------------------------
+
+def json_values(floats=st.floats()):
+    scalars = st.none() | st.booleans() | st.integers() | floats | st.text()
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12)
+
+
+@given(json_values())
+def test_dumps_equals_json_dumps(value):
+    assert dumps(value) == json.dumps(value, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+
+
+@given(json_values(st.floats(allow_nan=False)))
+def test_loads_of_utf8_equals_json_loads(value):
+    text = json.dumps(value, ensure_ascii=False)
+    assert loads(text.encode("utf-8")) == json.loads(text)
+    assert loads(text) == json.loads(text)
+
+
+class FixedStream(ByteStream):
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+
+    def read(self, n: int) -> bytes:
+        assert n == len(self._data)
+        return self._data
+
+
+@given(st.binary(min_size=16, max_size=16))
+def test_uuid4_from_equals_uuid_module(raw):
+    text = uuid4_from(FixedStream(raw))
+    assert text == str(uuid.UUID(bytes=raw, version=4))  # version and variant bits set
+    assert uuid.UUID(text).version == 4
+    assert uuid.UUID(text).variant == uuid.RFC_4122
+
+
+SPELLINGS = {
+    "canonical": str,
+    "upper": str.upper,
+    "braced": lambda text: "{%s}" % text,
+    "urn": lambda text: "urn:uuid:" + text,
+    "hex": lambda text: text.replace("-", ""),
+}
+
+
+@given(st.uuids(), st.sampled_from(sorted(SPELLINGS)))
+def test_require_uuid_equals_uuid_module(value, spelling):
+    text = SPELLINGS[spelling](str(value))
+    assert _require_uuid(text) == str(uuid.UUID(text))
+
+
+@given(st.text(alphabet="0123456789abcdefABCDEF-{}:nruid_ g\n\u0661", max_size=46))
+def test_require_uuid_refuses_what_uuid_module_refuses(text):
+    try:
+        expected = str(uuid.UUID(text))
+    except ValueError:
+        with pytest.raises(MalformedError):
+            _require_uuid(text)
+    else:
+        assert _require_uuid(text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "not-a-uuid",
+    KEY_ID + "\n",
+    KEY_ID[:-1],
+    KEY_ID[:-1] + "g",
+    KEY_ID + "0",
+])
+def test_require_uuid_refuses_invalid_strings(text):
+    with pytest.raises(ValueError):
+        uuid.UUID(text)
+    with pytest.raises(MalformedError):
+        _require_uuid(text)
+
+
+@pytest.mark.parametrize("value", [None, 7, 1.5, True, uuid.UUID(KEY_ID).bytes, [KEY_ID],
+                                   {"key_ID": KEY_ID}])
+def test_require_uuid_refuses_non_strings(value):
+    with pytest.raises(MalformedError):
+        _require_uuid(value)
+
+
+# ---------------------------------------------------------------------------
+# Only UTF-8 JSON is read
+# ---------------------------------------------------------------------------
+
+CONTAINER = ('{"keys":[{"key_ID":"%s","key":"%s"}]}'
+             % (KEY_ID, base64.b64encode(b"k" * 32).decode("ascii")))
+NON_UTF8 = {
+    "utf-16": CONTAINER.encode("utf-16"),
+    "utf-16-le": CONTAINER.encode("utf-16-le"),
+    "utf-32": CONTAINER.encode("utf-32"),
+    "utf-8-bom": codecs.BOM_UTF8 + CONTAINER.encode("utf-8"),
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(NON_UTF8))
+def test_loads_refuses_json_that_is_not_plain_utf8(encoding):
+    body = NON_UTF8[encoding]
+    assert json.loads(body) == json.loads(CONTAINER)  # the standard library reads it
+    with pytest.raises(MalformedError):
+        loads(body)
+    with pytest.raises(MalformedError):
+        decode_key_container(body)
+    assert decode_key_container(CONTAINER.encode("utf-8")) == [(KEY_ID, b"k" * 32)]
