@@ -8,6 +8,11 @@ fixed (time, lane, sequence) order instead of real threads, and all
 randomness derives from the configured seed, so equal configs produce
 byte-identical transcripts.
 
+Each component is addressed by name, `http://<name>/...`, on either
+transport (so a host id must be a lowercase DNS label); the stack registers
+each name with its router in-process, or with its server's loopback address
+over HTTP. So both transports give one config the same transcript bytes.
+
 The wiretap check scans every frame on an inter-domain channel for
 forbidden byte strings; it is how scenarios prove that client plaintext
 never crosses the trust boundary.
@@ -15,6 +20,7 @@ never crosses the trust boundary.
 
 from __future__ import annotations
 
+import re
 import threading
 import time as _time
 from dataclasses import dataclass, field
@@ -41,6 +47,8 @@ from .wire import b64decode, decode_error, decode_key_container, dumps
 MASTER_SAE = "sae-client"
 SLAVE_SAE = "sae-mec"
 _RESERVED_COMPONENTS = {"client", "gateway", "lcmp", "kme-client", "kme-mec"}
+# a host id is the authority of its URLs: a lowercase DNS label (RFC 1035 §2.3.1)
+_HOST_ID = re.compile(r"[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?")
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +166,8 @@ class ScenarioConfig:
         hosts = []
         for host_doc in doc.get("hosts", ()):
             host_id = str(host_doc["host_id"])
+            if not _HOST_ID.fullmatch(host_id):
+                raise InvalidConfigError(f"host id {host_id!r} is not a lowercase DNS label")
             if host_id in _RESERVED_COMPONENTS:
                 raise InvalidConfigError(f"host id {host_id!r} is reserved")
             slots = int(host_doc["total_slots"])
@@ -256,7 +266,6 @@ class Stack:
     transcript: Transcript
     transport: Any
     gateway: Gateway
-    gateway_url: str
     lcmp: Lcmp
     hosts: dict[str, MecHost]
     kme_master: Any
@@ -273,34 +282,25 @@ class Stack:
             master_sae=MASTER_SAE, slave_sae=SLAVE_SAE,
         )
 
-        names = ["kme-client", "kme-mec", "lcmp", "gateway"] + [h.host_id for h in config.hosts]
-        servers: list[ComponentHttpServer] = []
-        if config.transport_mode == "http":
-            transport = HttpTransport(transcript, clock)
-            servers = [ComponentHttpServer(name) for name in names]
-            for server in servers:
-                transport.register_name(server.base_url.removeprefix("http://"), server.name)
-            url_of = {server.name: server.base_url for server in servers}
-        else:
-            transport = InprocTransport(transcript, clock)
-            url_of = {name: f"inproc://{name}" for name in names}
+        http = config.transport_mode == "http"
+        transport = HttpTransport(transcript, clock) if http else InprocTransport(transcript, clock)
 
         catalog = Catalog(config.catalog)
 
         hosts: dict[str, MecHost] = {}
         for host_seed in config.hosts:
             host_kme = KmeClient(transport, src=host_seed.host_id,
-                                 base_url=url_of["kme-mec"], channel="qkd")
+                                 base_url="http://kme-mec", channel="qkd")
             hosts[host_seed.host_id] = MecHost(
                 host_seed.host_id, host_seed.total_slots,
-                base_url=url_of[host_seed.host_id], sae_id=SLAVE_SAE,
+                base_url=f"http://{host_seed.host_id}", sae_id=SLAVE_SAE,
                 kme=host_kme, key_store=KeyStore(clock, config.policy.max_age_sec),
                 transport=transport, master_sae=MASTER_SAE,
                 handlers=BUILTIN_HANDLERS,
             )
 
         commanders = {
-            host_id: HostCommander(transport, src="lcmp", base_url=url_of[host_id])
+            host_id: HostCommander(transport, src="lcmp", base_url=f"http://{host_id}")
             for host_id in hosts
         }
         meo = Meo(catalog, commanders, {h.host_id: h.total_slots for h in config.hosts})
@@ -308,14 +308,14 @@ class Stack:
                     id_stream=make_stream(seed, "app-context-id"))
 
         gateway_kme = KmeClient(transport, src="gateway",
-                                base_url=url_of["kme-client"], channel="qkd")
+                                base_url="http://kme-client", channel="qkd")
         bindings = [
             RouteBinding(path_prefix=b.path_prefix, app_name=b.app_name,
                          provider=b.provider, version=b.version, plaintext=b.plaintext)
             for b in config.bindings
         ]
         gateway = Gateway(
-            bindings=bindings, transport=transport, lcmp_url=url_of["lcmp"],
+            bindings=bindings, transport=transport, lcmp_url="http://lcmp",
             kme=gateway_kme, policy=config.policy,
             clock=clock, offered_suites=config.offered_suites,
             sae_id=MASTER_SAE, server_sae=SLAVE_SAE, auth_token=config.auth_token,
@@ -329,22 +329,21 @@ class Stack:
         }
         routers.update({host_id: host.router() for host_id, host in hosts.items()})
 
-        if config.transport_mode == "http":
-            for server in servers:
-                server.router = routers[server.name]
-                server.start()
-        else:
-            for name, router in routers.items():
+        servers: list[ComponentHttpServer] = []
+        for name, router in routers.items():
+            if http:
+                servers.append(ComponentHttpServer(name, router).start())
+                transport.register(name, servers[-1].address)
+            else:
                 transport.register(name, router)
 
         return cls(config=config, clock=clock, transcript=transcript, transport=transport,
-                   gateway=gateway, gateway_url=url_of["gateway"], lcmp=lcmp, hosts=hosts,
-                   kme_master=master, servers=servers)
+                   gateway=gateway, lcmp=lcmp, hosts=hosts, kme_master=master, servers=servers)
 
     def client_request(self, path: str, body: bytes,
                        headers: Mapping[str, str] | None = None):
         return self.transport.request(src="client", channel="client", method="POST",
-                                      url=self.gateway_url + path, body=body,
+                                      url="http://gateway" + path, body=body,
                                       headers=headers)
 
     def stop(self) -> None:

@@ -1,8 +1,11 @@
 """Real HTTP bindings for component routers.
 
-Each component can be served by a ComponentHttpServer on a loopback port;
-the HttpTransport gives callers the same request() surface as the
-in-process transport, still recording every exchange in the transcript.
+Each component can be served by a ComponentHttpServer on a loopback port.
+The HttpTransport gives callers the in-process transport's request()
+surface: it registers each component name with the (host, port) serving it,
+and the `host` header carries the name (RFC 9110 §7.2). So both transports
+record the same transcript bytes, a socket failure included: it gives the
+502 `peer-unreachable` frame of an unknown name.
 
 Both ends are ours, so they speak a small subset of HTTP/1.1 (RFC 9112
 §2-§6): a request or status line, header fields, and a body framed by
@@ -14,7 +17,7 @@ long body, 400 for a malformed one) is answered with `connection: close`,
 and the connection is closed.
 
 Connections persist (RFC 9112 §9.3): the transport keeps idle connections
-per authority and reuses them, so serial requests to one peer share one TCP
+per peer name and reuses them, so serial requests to one peer share one TCP
 connection. Both ends set TCP_NODELAY, so a small reply never waits for a
 delayed ACK.
 
@@ -34,7 +37,7 @@ import socket
 import threading
 from http import HTTPStatus
 from typing import Mapping
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import parse_qsl
 
 from .clock import Clock
 from .errors import PeerUnreachableError
@@ -154,15 +157,14 @@ def _parse_request(first_line: str, headers: dict[str, str],
 
 
 class ComponentHttpServer:
-    """One component served over loopback HTTP. Router may be set after bind
-    (the bound port is often needed to construct the component itself)."""
+    """One component's router served on a loopback port; `address` is the
+    (host, port) an HttpTransport registers under the component's name."""
 
-    def __init__(self, name: str, router: Router | None = None) -> None:
+    def __init__(self, name: str, router: Router) -> None:
         self.name = name
         self.router = router
         self._listener = socket.create_server(("127.0.0.1", 0))
-        host, port = self._listener.getsockname()[:2]
-        self.base_url = f"http://{host}:{port}"
+        self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self._thread: threading.Thread | None = None
         # open connections and the threads serving them; a kept-alive
         # connection parks its thread in recv until the peer or stop() ends it
@@ -201,11 +203,7 @@ class ComponentHttpServer:
                                            {"content-type": "application/json", "connection": "close"},
                                            encode_error("malformed", str(exc))))
                     return
-                router = self.router
-                if router is None:
-                    response = WireResponse(status=503, body=b"{}")
-                else:
-                    response = router.dispatch(request)
+                response = self.router.dispatch(request)
                 headers = {**response.headers, "connection": "close"} if close else response.headers
                 body = b"" if response.status in (204, 304) else response.body
                 sock.sendall(_response(response.status, headers, body))
@@ -235,40 +233,27 @@ class ComponentHttpServer:
 
 
 class HttpTransport(Transport):
-    """Client side of component HTTP, with transcript taps at the caller."""
-
-    scheme = "http"
+    """Client side of component HTTP, with transcript taps at the caller;
+    each name is registered with the (host, port) of the server serving it."""
 
     def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None,
                  timeout: float = 10.0) -> None:
         super().__init__(transcript, clock)
-        self._names: dict[str, str] = {}  # authority -> component name
         self._timeout = timeout
-        # authority -> idle connections; it never holds more than were in use
-        # at one moment, so the peak concurrency per peer bounds it
+        # name -> idle connections; it never holds more than were in use at
+        # one moment, so the peak concurrency per peer bounds it
         self._idle: dict[str, list[_Connection]] = {}
         self._idle_lock = threading.Lock()
 
-    def register_name(self, authority: str, name: str) -> None:
-        self._names[authority] = name
-
-    def _destination(self, authority: str) -> str:
-        return self._names.get(authority, authority)
-
-    def _connect(self, authority: str) -> _Connection:
-        url = urlsplit("//" + authority)
-        try:
-            address = (url.hostname, url.port or 80)
-        except ValueError as exc:  # a port out of range
-            raise PeerUnreachableError(f"cannot reach {authority}: {exc}") from exc
+    def _connect(self, address: tuple[str, int]) -> _Connection:
         return _Connection(socket.create_connection(address, timeout=self._timeout))
 
-    def _send(self, authority: str, request: WireRequest) -> WireResponse:
+    def _send(self, name: str, peer: tuple[str, int], request: WireRequest) -> WireResponse:
         target = request.path + _render_query(request.query)
         message = _message(f"{request.method} {target} HTTP/1.1",
-                           {"host": authority, **request.headers}, request.body)
+                           {"host": name, **request.headers}, request.body)
         with self._idle_lock:
-            idle = self._idle.get(authority)
+            idle = self._idle.get(name)
             conn = idle.pop() if idle else None
         try:
             if conn is not None:
@@ -279,7 +264,7 @@ class HttpTransport(Transport):
                     conn.close()
                     conn = None
             if conn is None:
-                conn = self._connect(authority)
+                conn = self._connect(peer)
                 reply = conn.exchange(message)
                 if reply is None:
                     raise ConnectionResetError("the peer closed the connection without a reply")
@@ -292,7 +277,7 @@ class HttpTransport(Transport):
         except (OSError, _ProtocolError) as exc:
             if conn is not None:
                 conn.close()
-            raise PeerUnreachableError(f"cannot reach {authority}: {exc}") from exc
+            raise PeerUnreachableError(f"cannot reach {name}: {exc}") from exc
         except BaseException:
             if conn is not None:
                 conn.close()
@@ -301,7 +286,7 @@ class HttpTransport(Transport):
             conn.close()
         else:
             with self._idle_lock:
-                self._idle.setdefault(authority, []).append(conn)
+                self._idle.setdefault(name, []).append(conn)
         resp_headers = {k: v for k, v in headers.items() if k not in _HOP_HEADERS}
         return WireResponse(status=int(status), headers=resp_headers, body=body)
 

@@ -1,14 +1,15 @@
 """Message plumbing between components.
 
 Components expose a Router over (method, path) and are reachable through a
-Transport by URL. A Router splits each route once, when it is added, and
-lists it under its method and segment count. So a request walks only the
-routes of its own method and segment count, comparing only their literal
-segments; the first route added that matches wins, and a miss goes to the
+Transport by URL, `http://<name>/...` on either transport. A Router splits
+each route once, when it is added, and lists it under its method and segment
+count. So a request walks only the routes of its own method and segment
+count, comparing only their literal segments; the first route added that matches wins, and a miss goes to the
 fallback or to 404. The in-process transport routes calls directly; the HTTP
 transport (see httpd) does the same over real sockets. Either way, every
-exchange is recorded in a Transcript as two frames (request and response)
-so scenario metrics and the wiretap can be computed from the record alone.
+exchange is recorded in a Transcript as two frames (request and response),
+an unreachable peer's 502 included, so scenario metrics and the wiretap can
+be computed from the record alone, and both transports record the same bytes.
 Records hold the raw frame bytes; base64 appears only in the NDJSON form
 (`payload_b64`), which is encoded when read and decoded by `parse_ndjson`.
 """
@@ -215,22 +216,25 @@ class Transcript:
 # ---------------------------------------------------------------------------
 
 class Transport:
-    """One exchange: normalise the URL, record the request frame, send, and
-    record the response frame. Subclasses supply `scheme`, `_destination`
-    (the component name recorded in the transcript) and `_send`."""
-
-    scheme = ""
+    """One exchange: record the request frame, send, and record the response
+    frame. `register(name, peer)` is the one registry that resolves a URL's
+    authority; subclasses supply `_send`. An unknown scheme or name, and a
+    PeerUnreachableError from `_send`, give a recorded 502 response."""
 
     def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None) -> None:
         self._clock = clock or SystemClock()
         self.transcript = transcript if transcript is not None else Transcript(self._clock)
+        self._peers: dict[str, Any] = {}
+
+    def register(self, name: str, peer: Any) -> None:
+        if name in self._peers:
+            raise ValueError(f"component {name!r} already registered")
+        self._peers[name] = peer
 
     def request(self, *, src: str, channel: str, method: str, url: str,
                 headers: Mapping[str, str] | None = None, body: bytes = b"",
                 query: Mapping[str, str] | None = None) -> WireResponse:
         parts = urlsplit(url)
-        if parts.scheme != self.scheme:
-            raise PeerUnreachableError(f"unsupported URL scheme {parts.scheme!r}")
         query_map = dict(query) if query else {}
         if parts.query:
             query_map.update(parse_qsl(parts.query))
@@ -238,39 +242,30 @@ class Transport:
                               headers={k.lower(): v for k, v in headers.items()} if headers else {},
                               body=body, query=query_map)
         target = f"{request.method} {parts.path}{_render_query(query_map)}"
-        dst = self._destination(parts.netloc)
+        dst = parts.netloc
         self.transcript.append(src, dst, channel, frame(f"REQ {target}", request.headers, body))
-        response = self._send(parts.netloc, request)
+        try:
+            if parts.scheme != "http":
+                raise PeerUnreachableError(f"unsupported URL scheme {parts.scheme!r}")
+            peer = self._peers.get(dst)
+            if peer is None:
+                raise PeerUnreachableError(f"unknown component {dst!r}")
+            response = self._send(dst, peer, request)
+        except PeerUnreachableError as exc:
+            response = error_response(exc)
         self.transcript.append(dst, src, channel,
                                frame(f"RSP {response.status} {target}", response.headers, response.body))
         return response
 
-    def _destination(self, authority: str) -> str:
-        return authority
-
-    def _send(self, authority: str, request: WireRequest) -> WireResponse:
+    def _send(self, name: str, peer: Any, request: WireRequest) -> WireResponse:
         raise NotImplementedError
 
 
 class InprocTransport(Transport):
-    """Routes inproc:// URLs straight into registered component routers."""
+    """Hands each request straight to the Router registered under its name."""
 
-    scheme = "inproc"
-
-    def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None) -> None:
-        super().__init__(transcript, clock)
-        self._components: dict[str, Router] = {}
-
-    def register(self, name: str, router: Router) -> None:
-        if name in self._components:
-            raise ValueError(f"component {name!r} already registered")
-        self._components[name] = router
-
-    def _send(self, authority: str, request: WireRequest) -> WireResponse:
-        router = self._components.get(authority)
-        if router is None:
-            return error_response(PeerUnreachableError(f"unknown component {authority!r}"))
-        return router.dispatch(request)
+    def _send(self, name: str, peer: Router, request: WireRequest) -> WireResponse:
+        return peer.dispatch(request)
 
 
 def raise_for_status(response: WireResponse) -> WireResponse:

@@ -10,8 +10,11 @@ The JSON encoder and decoder are built once, at import, and shared by every
 call. A byte body is decoded as UTF-8, the one encoding RFC 8259 §8.1 allows
 between systems; a UTF-16 or UTF-32 body, or one that starts with a byte
 order mark, is malformed. A key_ID already in canonical form (lowercase,
-hyphenated) is checked with one regular expression; only other spellings
-are parsed and canonicalised by `uuid.UUID`.
+hyphenated) is checked with one regular expression. Only the other RFC 9562
+spellings are read: the hyphenated form in any case, braced, after
+`urn:uuid:`, or as 32 bare hex digits; `uuid.UUID` canonicalises them.
+Anything else `uuid.UUID` would take (an underscore between digits, a sign,
+a non-ASCII digit) is malformed.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .errors import MalformedError
 _ENCODER = json.JSONEncoder(separators=(",", ":"))  # ensure_ascii, so the bytes are ASCII
 _DECODER = json.JSONDecoder()
 _CANONICAL_UUID = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
+_HYPHENATED = r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}"
+_UUID_SPELLING = re.compile("|".join((_HYPHENATED, r"\{" + _HYPHENATED + r"\}",
+                                      "urn:uuid:" + _HYPHENATED, "[0-9a-fA-F]{32}")))
 
 
 def dumps(obj: Any) -> bytes:
@@ -63,10 +69,9 @@ def _require_uuid(value: Any) -> str:
         raise MalformedError("key_ID must be a string")
     if _CANONICAL_UUID.fullmatch(value):
         return value
-    try:
-        return str(uuid.UUID(value))
-    except ValueError as exc:
-        raise MalformedError(f"invalid key_ID {value!r}") from exc
+    if not _UUID_SPELLING.fullmatch(value):
+        raise MalformedError(f"invalid key_ID {value!r}")
+    return str(uuid.UUID(value))
 
 
 def encode_key_container(pairs: Iterable[tuple[str, bytes]]) -> bytes:

@@ -1,12 +1,28 @@
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import pytest
 
 from edgeqkd.errors import NotFoundError
 from edgeqkd.kme import KmeHandle
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "scenario.example.json"
+
+# scenario.example.json and two variants of it, by test id
+EXAMPLE_VARIANTS = {
+    "example": {},
+    "fresh-key-per-request": {"policy": {"max_uses": 1, "max_age_sec": 600}},
+    "one-time-pad": {"offered_suites": [2]},  # the pad exhausts the pool: 11 key-exhausted replies
+}
+
+
+def example_doc(variant: str) -> dict:
+    return dict(json.loads(EXAMPLE.read_bytes()), **EXAMPLE_VARIANTS[variant])
+
 
 # Pass/fail lines registered by the acceptance suite; echoed in the terminal
 # summary so a plain `pytest` run shows one line per criterion.

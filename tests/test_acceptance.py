@@ -346,7 +346,7 @@ def test_c8_placement_oracle():
             instances = {}
             if rng.random() < 0.3:
                 which = target if rng.random() < 0.6 else other
-                uri = f"inproc://h{i:02d}/apps/{which.app_name}-{rng.randint(1, 3)}"
+                uri = f"http://h{i:02d}/apps/{which.app_name}-{rng.randint(1, 3)}"
                 instances[uri] = InstanceInfo(uri=uri, app=which,
                                               shareable=rng.random() < 0.5)
             hosts.append(HostDescriptor(f"h{i:02d}", total, used, instances))

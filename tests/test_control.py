@@ -69,7 +69,7 @@ def host_desc(host_id, total, used=0, instances=()):
 
 def test_reuse_precedence():
     target = app()
-    inst = InstanceInfo(uri="inproc://a/apps/fn-echo-1", app=target, shareable=True)
+    inst = InstanceInfo(uri="http://a/apps/fn-echo-1", app=target, shareable=True)
     hosts = [host_desc("a", 2, 1, [inst]), host_desc("b", 5)]
     placement = place_app(target, hosts)
     assert placement == Placement(kind="reuse", host_id="a", uri=inst.uri)
@@ -77,7 +77,7 @@ def test_reuse_precedence():
 
 def test_non_shareable_instance_not_reused():
     target = app()
-    inst = InstanceInfo(uri="inproc://a/apps/fn-echo-1", app=target, shareable=False)
+    inst = InstanceInfo(uri="http://a/apps/fn-echo-1", app=target, shareable=False)
     placement = place_app(target, [host_desc("a", 2, 1, [inst]), host_desc("b", 1)])
     assert placement.kind == "deploy"
 
@@ -144,7 +144,7 @@ def test_placement_oracle_exhaustive_with_reuse_flags():
                 instances = []
                 if flag is not None:
                     instances.append(InstanceInfo(
-                        uri=f"inproc://h{i}/apps/x-{i}", app=target if flag else other,
+                        uri=f"http://h{i}/apps/x-{i}", app=target if flag else other,
                         shareable=True,
                     ))
                 hosts.append(host_desc(f"h{i:02d}", 3, 3 - free, instances))
@@ -164,7 +164,7 @@ def test_placement_oracle_random(frees, need, reuse_at):
         instances = []
         if reuse_at is not None and reuse_at[0] == i:
             instances.append(InstanceInfo(
-                uri=f"inproc://h{i}/apps/r", app=target, shareable=reuse_at[1],
+                uri=f"http://h{i}/apps/r", app=target, shareable=reuse_at[1],
             ))
         hosts.append(host_desc(f"h{i:02d}", 5, 5 - free, instances))
     assert_matches_oracle(target, hosts)
@@ -181,14 +181,14 @@ def build_control_plane(catalog_entries, host_slots, clock=None):
     transport.register("kme-mec", KmeApi(slave).router())
     hosts = {}
     for host_id, slots in host_slots.items():
-        host = MecHost(host_id, slots, base_url=f"inproc://{host_id}", sae_id="sae-mec",
-                       kme=KmeClient(transport, src=host_id, base_url="inproc://kme-mec",
+        host = MecHost(host_id, slots, base_url=f"http://{host_id}", sae_id="sae-mec",
+                       kme=KmeClient(transport, src=host_id, base_url="http://kme-mec",
                                      channel="qkd"),
                        key_store=KeyStore(clock, 3600), transport=transport)
         transport.register(host_id, host.router())
         hosts[host_id] = host
     catalog = Catalog(catalog_entries)
-    commanders = {hid: HostCommander(transport, src="lcmp", base_url=f"inproc://{hid}")
+    commanders = {hid: HostCommander(transport, src="lcmp", base_url=f"http://{hid}")
                   for hid in hosts}
     meo = Meo(catalog, commanders, dict(host_slots))
     lcmp = Lcmp(catalog, meo, clock=clock, id_stream=make_stream(SEED, "ctx"))
@@ -202,7 +202,7 @@ def test_create_context_happy_path():
     lcmp, meo, hosts, _ = build_control_plane([ECHO], {"edge-a": 2})
     context = lcmp.create_context(ECHO.app.key)
     assert context.to_doc()["state"] == "active"
-    assert context.endpoint_uri.startswith("inproc://edge-a/apps/fn-echo-")
+    assert context.endpoint_uri.startswith("http://edge-a/apps/fn-echo-")
     assert hosts["edge-a"].used_slots == 1
     assert context.context_id in hosts["edge-a"].instances()[0].active_contexts
 
@@ -316,13 +316,13 @@ def test_mx2_wire_surface():
     transport.register("lcmp", lcmp.router())
     from edgeqkd.control import Mx2Client
 
-    mx2 = Mx2Client(transport, src="gateway", base_url="inproc://lcmp")
+    mx2 = Mx2Client(transport, src="gateway", base_url="http://lcmp")
     apps = mx2.lookup("fn-echo", "demo", "1.0")
     assert apps and apps[0]["app_name"] == "fn-echo"
     assert mx2.lookup("fn-missing") == []
-    doc = mx2.create_context("fn-echo", "demo", "1.0", callback_uri="inproc://client/cb")
+    doc = mx2.create_context("fn-echo", "demo", "1.0", callback_uri="http://client/cb")
     assert doc["state"] == "active"
-    assert doc["callback_uri"] == "inproc://client/cb"
+    assert doc["callback_uri"] == "http://client/cb"
     mx2.delete_context(doc["context_id"])
     with pytest.raises(UnknownContextError):
         mx2.delete_context(doc["context_id"])

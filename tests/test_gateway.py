@@ -229,7 +229,7 @@ def test_reply_under_another_key_is_refused():
 
     stub = Router()
     stub.add("POST", "/apps/{segment}/invoke", relabel)
-    stack.transport._components["edge-a"] = stub  # the stub answers as the host
+    stack.transport._peers["edge-a"] = stub  # the stub answers as the host
     response = stack.client_request("/echo", b"second")
     assert response.status == 502
     assert loads(response.body)["code"] == "auth-failure"
@@ -329,7 +329,7 @@ def test_auth_token_checked_when_configured():
     assert denied.status == 401
     allowed = stack.transport.request(
         src="client", channel="client", method="POST",
-        url=stack.gateway_url + "/echo", body=b"x",
+        url="http://gateway/echo", body=b"x",
         headers={"authorization": "Bearer letmein"},
     )
     assert allowed.status == 200
@@ -338,13 +338,13 @@ def test_auth_token_checked_when_configured():
 def test_gateway_router_rejects_non_post():
     stack = build()
     response = stack.transport.request(src="client", channel="client", method="GET",
-                                       url=stack.gateway_url + "/echo")
+                                       url="http://gateway/echo")
     assert response.status == 405
 
 
 def test_unreachable_control_plane_maps_502():
     stack = build()
-    stack.gateway._mx2._base = "inproc://lcmp-gone"  # sever the control plane
+    stack.gateway._mx2._base = "http://lcmp-gone"  # sever the control plane
     response = stack.client_request("/echo", b"x")
     assert response.status == 502
     assert b"peer-unreachable" in response.body

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +17,8 @@ from edgeqkd.harness import (
     wiretap_assert,
 )
 from edgeqkd.transport import Record, Transcript, frame
+
+from conftest import EXAMPLE_VARIANTS, example_doc
 
 SEED_HEX = "9c" * 32
 
@@ -78,6 +78,21 @@ def test_invalid_configs_rejected(mutate):
     mutate(doc)
     with pytest.raises(InvalidConfigError):
         ScenarioConfig.from_doc(doc)
+
+
+@pytest.mark.parametrize("host_id", ["edge/a", "edge?a", "edge#a", "edge-A", "edge.a", "edge a",
+                                     "edge:80", "-edge", "edge-", "", "\u0661", "edge\n",
+                                     "a" * 64])
+def test_host_id_must_be_a_url_host_label(host_id):
+    # the id is the authority of the host's URLs, http://<host_id>/...
+    with pytest.raises(InvalidConfigError):
+        ScenarioConfig.from_doc(echo_doc(hosts=[{"host_id": host_id, "total_slots": 1}]))
+
+
+@pytest.mark.parametrize("host_id", ["edge-a", "h00", "7", "a" * 63])
+def test_host_id_label_is_accepted(host_id):
+    config = ScenarioConfig.from_doc(echo_doc(hosts=[{"host_id": host_id, "total_slots": 1}]))
+    assert run_scenario(config).metrics.requests_ok == 5
 
 
 def test_valid_config_parses():
@@ -193,20 +208,14 @@ def test_reproducibility_same_seed():
     assert a.metrics.to_doc() == b.metrics.to_doc()
 
 
-EXAMPLE = Path(__file__).resolve().parent.parent / "scenario.example.json"
-
-
-@pytest.mark.parametrize("overrides, digest", [
-    ({}, "2d7d52e4a0b626326e5f2d152ca35d8d283dd8fb7e9fddd651f5b50041fd8d7a"),
-    ({"policy": {"max_uses": 1, "max_age_sec": 600}},
-     "1f9853db72c2a7c5b64c7da6e6894a1d458b1cba55fc2ed9495c8bc4abede8e6"),
-    ({"offered_suites": [2]},  # the pad exhausts the pool: 11 key-exhausted replies
-     "566aabb2c7c0af418d389b9792820be5ff6d086597b5d2fbd58d7bbf6532cbaa"),
-], ids=["example", "fresh-key-per-request", "one-time-pad"])
-def test_transcript_bytes_are_pinned(overrides, digest):
+@pytest.mark.parametrize("variant, digest", [
+    ("example", "742120a94b5fb153060cf4d996e24b0c0d0f74c8eb38989e312ef1c39c2ab674"),
+    ("fresh-key-per-request", "dd3872d217aba053bad56dfd99c20dd6c1c0c6e94c186a9b3df52a47d82d303c"),
+    ("one-time-pad", "6fc32dbe563eef5d174723f997f209bf0b6dc35222f13add1d9fad219f7cca78"),
+], ids=list(EXAMPLE_VARIANTS))
+def test_transcript_bytes_are_pinned(variant, digest):
     # any change to a wire byte, a key or a key_ID changes the digest
-    doc = dict(json.loads(EXAMPLE.read_bytes()), **overrides)
-    transcript = run_scenario(ScenarioConfig.from_doc(doc)).transcript_ndjson()
+    transcript = run_scenario(ScenarioConfig.from_doc(example_doc(variant))).transcript_ndjson()
     assert hashlib.sha256(transcript).hexdigest() == digest
 
 

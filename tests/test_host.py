@@ -34,8 +34,8 @@ def build_host(clock=None, slots=4, max_age=3600.0, handlers=None):
     transport = InprocTransport(clock=clock)
     master, slave = new_kme_pair(SEED, 0, 1 << 20, clock=clock)
     transport.register("kme-mec", KmeApi(slave).router())
-    host = MecHost("edge-a", slots, base_url="inproc://edge-a", sae_id="sae-mec",
-                   kme=KmeClient(transport, src="edge-a", base_url="inproc://kme-mec",
+    host = MecHost("edge-a", slots, base_url="http://edge-a", sae_id="sae-mec",
+                   kme=KmeClient(transport, src="edge-a", base_url="http://kme-mec",
                                  channel="qkd"),
                    key_store=KeyStore(clock, max_age), transport=transport,
                    handlers=handlers)
@@ -73,9 +73,9 @@ def recording_handler(delay=0.0):
 def test_deploy_assigns_sequential_uris():
     host, *_ = build_host()
     inst = host.deploy(app(), "fn-echo", None)
-    assert inst.uri == "inproc://edge-a/apps/fn-echo-1"
+    assert inst.uri == "http://edge-a/apps/fn-echo-1"
     inst2 = host.deploy(app(), "fn-echo", None)
-    assert inst2.uri == "inproc://edge-a/apps/fn-echo-2"
+    assert inst2.uri == "http://edge-a/apps/fn-echo-2"
     assert host.used_slots == 2
 
 
@@ -169,7 +169,7 @@ def test_invoke_unknown_instance():
     envelope = channel.encrypt(ctx, b"x", kme, clock=clock)
     response = transport.request(
         src="gateway", channel="data", method="POST",
-        url="inproc://edge-a/apps/ghost-9/invoke", body=envelope.to_bytes(),
+        url="http://edge-a/apps/ghost-9/invoke", body=envelope.to_bytes(),
         headers={"x-app-context-id": CTX},
     )
     assert response.status == 404
@@ -588,18 +588,18 @@ def test_mgmt_wire_surface():
     host, _, transport, _ = build_host()
     response = transport.request(
         src="lcmp", channel="mec-internal", method="POST",
-        url="inproc://edge-a/mgmt/v1/deploy",
+        url="http://edge-a/mgmt/v1/deploy",
         body=dumps({"app": app_doc(), "handler": "fn-echo", "shareable": True,
                     "chain_uri": None}),
     )
     uri = loads(raise_for_status(response).body)["uri"]
-    assert uri.startswith("inproc://edge-a/apps/fn-echo-")
+    assert uri.startswith("http://edge-a/apps/fn-echo-")
     for verb, payload in (("attach", {"uri": uri, "context_id": CTX}),
                           ("detach", {"uri": uri, "context_id": CTX}),
                           ("undeploy", {"uri": uri})):
         response = transport.request(
             src="lcmp", channel="mec-internal", method="POST",
-            url=f"inproc://edge-a/mgmt/v1/{verb}", body=dumps(payload),
+            url=f"http://edge-a/mgmt/v1/{verb}", body=dumps(payload),
         )
         raise_for_status(response)
     assert host.used_slots == 0
@@ -610,7 +610,7 @@ def test_deploy_refuses_a_bad_slot_count(slots):
     host, _, transport, _ = build_host(slots=1)
     response = transport.request(
         src="lcmp", channel="mec-internal", method="POST",
-        url="inproc://edge-a/mgmt/v1/deploy",
+        url="http://edge-a/mgmt/v1/deploy",
         body=dumps({"app": app_doc(slots=slots), "handler": "fn-echo", "chain_uri": None}),
     )
     assert response.status == 400
@@ -624,19 +624,19 @@ def test_deploy_refuses_a_bad_slot_count(slots):
     ("detach", []),
     ("undeploy", {}),
     ("undeploy", {"uri": ""}),
-    ("attach", {"uri": "inproc://edge-a/apps/fn-echo-1"}),
+    ("attach", {"uri": "http://edge-a/apps/fn-echo-1"}),
     ("attach", {"context_id": CTX}),
-    ("detach", {"uri": "inproc://edge-a/apps/fn-echo-1", "context_id": ""}),
+    ("detach", {"uri": "http://edge-a/apps/fn-echo-1", "context_id": ""}),
 ], ids=["undeploy-list", "attach-list", "detach-list", "undeploy-no-uri",
         "undeploy-empty-uri", "attach-no-context", "attach-no-uri", "detach-empty-context"])
 def test_mgmt_body_without_its_fields_is_malformed(verb, payload):
     host, _, transport, _ = build_host()
     inst = host.deploy(app(), "fn-echo", None)
-    assert inst.uri == "inproc://edge-a/apps/fn-echo-1"
+    assert inst.uri == "http://edge-a/apps/fn-echo-1"
     host.attach_context(inst.uri, CTX)
     response = transport.request(
         src="lcmp", channel="mec-internal", method="POST",
-        url=f"inproc://edge-a/mgmt/v1/{verb}", body=dumps(payload),
+        url=f"http://edge-a/mgmt/v1/{verb}", body=dumps(payload),
     )
     assert response.status == 400
     assert loads(response.body)["code"] == "malformed"

@@ -54,7 +54,7 @@ class HostKeyTable(RuleBasedStateMachine):
             self.calls += 1
             return body
 
-        self.host = MecHost("edge-a", 1, base_url="inproc://edge-a", sae_id="sae-mec",
+        self.host = MecHost("edge-a", 1, base_url="http://edge-a", sae_id="sae-mec",
                             kme=self.host_kme, key_store=KeyStore(self.clock, 3600),
                             transport=self.transport, handlers={"fn-rec": handler})
         self.transport.register("edge-a", self.host.router())

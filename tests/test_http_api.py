@@ -2,24 +2,22 @@
 
 from __future__ import annotations
 
-import re
 import socket
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
 from edgeqkd.clock import SimulatedClock, SystemClock
-from edgeqkd.errors import AlreadyConsumedError, KeyExhaustedError, UnknownPeerError
+from edgeqkd.errors import AlreadyConsumedError, KeyExhaustedError, PeerUnreachableError, UnknownPeerError
 from edgeqkd.harness import ScenarioConfig, Stack, run_scenario
 from edgeqkd.httpd import MAX_BODY_BYTES, MAX_HEAD_BYTES, ComponentHttpServer, HttpTransport
 from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
-from edgeqkd.transport import Router, WireResponse, json_response, raise_for_status
-from edgeqkd.wire import dumps, loads
+from edgeqkd.transport import InprocTransport, Router, WireResponse, json_response, raise_for_status
+from edgeqkd.wire import decode_error, dumps, loads
 
-from conftest import iter_frames
+from conftest import EXAMPLE_VARIANTS, example_doc, iter_frames
 
 SEED = b"\x77" * 32
 
@@ -31,6 +29,8 @@ def kme_servers():
     s_master = ComponentHttpServer("kme-client", KmeApi(master).router()).start()
     s_slave = ComponentHttpServer("kme-mec", KmeApi(slave).router()).start()
     transport = HttpTransport(clock=clock)
+    for server in (s_master, s_slave):
+        transport.register(server.name, server.address)
     yield master, slave, s_master, s_slave, transport
     transport.close()
     s_master.stop()
@@ -39,8 +39,8 @@ def kme_servers():
 
 def test_kme_rest_roundtrip(kme_servers):
     master, slave, s_master, s_slave, transport = kme_servers
-    client = KmeClient(transport, src="gateway", base_url=s_master.base_url, channel="qkd")
-    mec = KmeClient(transport, src="edge-a", base_url=s_slave.base_url, channel="qkd")
+    client = KmeClient(transport, src="gateway", base_url="http://kme-client", channel="qkd")
+    mec = KmeClient(transport, src="edge-a", base_url="http://kme-mec", channel="qkd")
 
     status = client.get_status("sae-mec", size=256)
     assert status["stored_key_count"] == (1 << 16) // 256
@@ -56,7 +56,7 @@ def test_kme_rest_roundtrip(kme_servers):
 
 def test_kme_rest_error_bodies(kme_servers):
     master, slave, s_master, s_slave, transport = kme_servers
-    client = KmeClient(transport, src="gateway", base_url=s_master.base_url, channel="qkd")
+    client = KmeClient(transport, src="gateway", base_url="http://kme-client", channel="qkd")
     with pytest.raises(UnknownPeerError):
         client.get_status("sae-wrong")
     with pytest.raises(KeyExhaustedError):
@@ -64,7 +64,7 @@ def test_kme_rest_error_bodies(kme_servers):
     # raw response carries the symbolic code
     response = transport.request(
         src="t", channel="qkd", method="POST",
-        url=s_master.base_url + "/api/v1/keys/sae-mec/enc_keys",
+        url="http://kme-client/api/v1/keys/sae-mec/enc_keys",
         body=dumps({"number": 1, "size": 12}),
     )
     assert response.status == 400
@@ -113,16 +113,15 @@ def test_http_stack_serves_mx2_and_invoke_paths():
     }
     stack = Stack.build(ScenarioConfig.from_doc(doc))
     try:
-        lcmp_url = next(s.base_url for s in stack.servers if s.name == "lcmp")
         response = raise_for_status(stack.transport.request(
             src="client", channel="mx2", method="GET",
-            url=lcmp_url + "/dev_app/v1/app_list", query={"appName": "fn-echo"},
+            url="http://lcmp/dev_app/v1/app_list", query={"appName": "fn-echo"},
         ))
         assert loads(response.body)["app_list"][0]["app_name"] == "fn-echo"
 
         assert stack.client_request("/echo", b"ping").body == b"ping"
         binding = stack.gateway.binding_for("/echo")
-        assert binding.endpoint_uri.startswith("http://127.0.0.1:")
+        assert binding.endpoint_uri.startswith("http://edge-a/apps/fn-echo-")
         health = stack.transport.request(src="client", channel="data", method="GET",
                                          url=binding.endpoint_uri + "/healthz")
         assert health.status == 200
@@ -130,20 +129,63 @@ def test_http_stack_serves_mx2_and_invoke_paths():
         # context delete over real HTTP (204, empty body), then re-establishment
         from edgeqkd.control import Mx2Client
 
-        mx2 = Mx2Client(stack.transport, src="client", base_url=lcmp_url)
+        mx2 = Mx2Client(stack.transport, src="client", base_url="http://lcmp")
         mx2.delete_context(binding.context_id)
         assert stack.client_request("/echo", b"pong").body == b"pong"
     finally:
         stack.stop()
 
 
-def test_http_transport_unreachable_peer():
-    from edgeqkd.errors import PeerUnreachableError
+def _exchanges(transport):
+    """Each recorded frame's kind, status and error code."""
+    out = []
+    for _, frame in iter_frames(transport.transcript.records()):
+        code = decode_error(frame.body)[0] if frame.kind == "RSP" and frame.status >= 400 else None
+        out.append((frame.kind, frame.status, code))
+    return out
 
+
+def test_http_transport_unreachable_peer():
+    # an authority that names no registered component is not dialled
     transport = HttpTransport(clock=SimulatedClock(), timeout=0.5)
+    response = transport.request(src="x", channel="qkd", method="GET",
+                                 url="http://127.0.0.1:9/api/v1/keys/s/status")
+    assert response.status == 502
     with pytest.raises(PeerUnreachableError):
-        transport.request(src="x", channel="qkd", method="GET",
-                          url="http://127.0.0.1:9/api/v1/keys/s/status")
+        raise_for_status(response)
+    assert _exchanges(transport) == [("REQ", None, None), ("RSP", 502, "peer-unreachable")]
+
+
+@pytest.mark.parametrize("url", ["http://kme-gone/api/v1/keys/s/status",
+                                 "inproc://kme-client/api/v1/keys/s/status"],
+                         ids=["unknown-name", "unknown-scheme"])
+def test_unreachable_peer_gives_the_same_frames_on_both_transports(url):
+    inproc, http = InprocTransport(clock=SimulatedClock()), HttpTransport(clock=SimulatedClock())
+    for transport in (inproc, http):
+        response = transport.request(src="x", channel="qkd", method="GET", url=url)
+        assert response.status == 502
+    http.close()
+    assert _exchanges(http) == [("REQ", None, None), ("RSP", 502, "peer-unreachable")]
+    assert http.transcript.records() == inproc.transcript.records()
+
+
+def test_stopped_server_gives_a_peer_unreachable_frame():
+    router = Router()
+    router.add("GET", "/n", lambda request: json_response(200, 1))
+    server = ComponentHttpServer("gone", router).start()
+    transport = HttpTransport(clock=SimulatedClock(), timeout=0.5)
+    transport.register(server.name, server.address)
+    try:
+        assert transport.request(src="t", channel="mx2", method="GET", url="http://gone/n").status == 200
+        server.stop()  # the transport still pools its connection to the server
+        response = transport.request(src="t", channel="mx2", method="GET", url="http://gone/n")
+    finally:
+        transport.close()
+    assert response.status == 502
+    code, message = decode_error(response.body)
+    assert code == "peer-unreachable" and message.startswith("cannot reach gone:")
+    assert _exchanges(transport) == [("REQ", None, None), ("RSP", 200, None),
+                                     ("REQ", None, None), ("RSP", 502, "peer-unreachable")]
 
 
 def test_http_transcripts_are_reproducible():
@@ -166,10 +208,7 @@ def test_http_transcripts_are_reproducible():
         for _, frame in iter_frames(result.records):
             if frame.kind == "RSP":
                 assert "date" not in frame.headers and "server" not in frame.headers
-        # only the loopback ports may differ between runs
-        runs.append([{**record, "payload_b64": re.sub(rb"127\.0\.0\.1:\d+", b"127.0.0.1:PORT",
-                                                       record.payload)}
-                     for record in result.records])
+        runs.append(result.transcript_ndjson())
     assert runs[0] == runs[1]
 
 
@@ -179,9 +218,10 @@ def test_http_query_values_are_percent_encoded(value):
     router.add("GET", "/q", lambda request: json_response(200, request.query))
     server = ComponentHttpServer("echo-query", router).start()
     transport = HttpTransport(clock=SimulatedClock())
+    transport.register(server.name, server.address)
     try:
         response = transport.request(src="t", channel="mx2", method="GET",
-                                     url=server.base_url + "/q", query={"a": value})
+                                     url="http://echo-query/q", query={"a": value})
         assert loads(raise_for_status(response).body) == {"a": value}
     finally:
         transport.close()
@@ -213,9 +253,9 @@ def connects(monkeypatch):
     opened = []
     connect = HttpTransport._connect
 
-    def counted(self, authority):
-        opened.append(authority)
-        return connect(self, authority)
+    def counted(self, address):
+        opened.append(address)
+        return connect(self, address)
 
     monkeypatch.setattr(HttpTransport, "_connect", counted)
     return opened
@@ -244,10 +284,11 @@ def test_stale_pooled_connection_is_replaced_once(connects):
     router.add("GET", "/n", lambda request: (calls.append(1), json_response(200, len(calls)))[1])
     server = ComponentHttpServer("stale", router).start()
     transport = HttpTransport(clock=SimulatedClock())
+    transport.register(server.name, server.address)
     before = threading.enumerate()
     try:
         assert transport.request(src="t", channel="mx2", method="GET",
-                                 url=server.base_url + "/n").status == 200
+                                 url="http://stale/n").status == 200
         handlers = _new_threads(before)
         # the server closes the idle connection the transport has pooled
         with server._lock:
@@ -257,7 +298,7 @@ def test_stale_pooled_connection_is_replaced_once(connects):
             thread.join(timeout=5)
             assert not thread.is_alive()
         response = transport.request(src="t", channel="mx2", method="GET",
-                                     url=server.base_url + "/n")
+                                     url="http://stale/n")
         assert loads(raise_for_status(response).body) == 2
     finally:
         transport.close()
@@ -272,8 +313,9 @@ def test_stop_leaves_no_thread_behind_a_pooled_connection():
     before = threading.enumerate()
     server = ComponentHttpServer("linger", Router()).start()
     transport = HttpTransport(clock=SimulatedClock())
+    transport.register(server.name, server.address)
     assert transport.request(src="t", channel="mx2", method="GET",
-                             url=server.base_url + "/healthz").status == 404
+                             url="http://linger/healthz").status == 404
     started = _new_threads(before)
     assert any(t.name == "httpd-linger" for t in started) and len(started) >= 2
     # the transport still pools its connection: stop() must end it itself
@@ -309,16 +351,14 @@ def test_concurrent_lanes_share_one_transport():
     assert result.wiretap.passed
 
 
-def test_http_transcript_matches_inproc():
-    doc = loads((Path(__file__).resolve().parent.parent / "scenario.example.json").read_bytes())
-    runs = {}
-    for mode in ("inproc", "http"):
-        result = run_scenario(ScenarioConfig.from_doc({**doc, "transport": mode}))
-        assert result.metrics.requests_ok == result.metrics.requests_total
-        runs[mode] = [(r.ts, r.src, r.dst, r.channel,
-                       re.sub(rb"inproc://[\w-]+|http://127\.0\.0\.1:\d+", b"URL", r.payload))
-                      for r in result.records]
-    assert runs["http"] == runs["inproc"]
+@pytest.mark.parametrize("variant", list(EXAMPLE_VARIANTS))
+def test_http_transcript_matches_inproc(variant):
+    # components are addressed by name on both transports, so every byte agrees
+    runs = {mode: run_scenario(ScenarioConfig.from_doc({**example_doc(variant), "transport": mode}))
+            for mode in ("inproc", "http")}
+    assert runs["http"].transcript_ndjson() == runs["inproc"].transcript_ndjson()
+    assert runs["http"].metrics.to_doc() == runs["inproc"].metrics.to_doc()
+    assert runs["http"].metrics.requests_total == 15
 
 
 def test_same_host_chain_over_http():
@@ -351,8 +391,7 @@ def raw_server():
 
 def _raw(server, *writes):
     """Send each write on its own over one raw socket; read until the server closes."""
-    host, port = server.base_url.removeprefix("http://").split(":")
-    with socket.create_connection((host, int(port)), timeout=5) as sock:
+    with socket.create_connection(server.address, timeout=5) as sock:
         for data in writes:
             sock.sendall(data)
             time.sleep(0.02)  # let the server see each write on its own
@@ -377,13 +416,14 @@ def _responses(data):
 
 def test_handler_bug_is_a_500_and_keeps_the_connection(raw_server, connects):
     transport = HttpTransport(clock=SimulatedClock())
+    transport.register(raw_server.name, raw_server.address)
     try:
         response = transport.request(src="t", channel="mx2", method="GET",
-                                     url=raw_server.base_url + "/boom")
+                                     url="http://raw/boom")
         assert response.status == 500
         assert b"unhandled error" in response.body
         response = transport.request(src="t", channel="mx2", method="GET",
-                                     url=raw_server.base_url + "/q", query={"n": "2"})
+                                     url="http://raw/q", query={"n": "2"})
         assert loads(raise_for_status(response).body) == {"n": "2"}
     finally:
         transport.close()

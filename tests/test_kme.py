@@ -187,7 +187,7 @@ def test_rest_rejects_a_zero_or_boolean_number(method, path, body):
     transport = InprocTransport(clock=SimulatedClock())
     transport.register("kme-client", KmeApi(master).router())
     response = transport.request(src="gateway", channel="qkd", method=method,
-                                 url="inproc://kme-client" + path, body=body)
+                                 url="http://kme-client" + path, body=body)
     assert response.status == 400
     assert loads(response.body)["code"] == "bad-length"
     assert master.pair.dispensed_keys == 0
@@ -202,7 +202,7 @@ def test_rest_answers_json_that_is_not_plain_utf8_as_malformed(body):
     transport = InprocTransport(clock=SimulatedClock())
     transport.register("kme-client", KmeApi(master).router())
     response = transport.request(src="gateway", channel="qkd", method="POST",
-                                 url="inproc://kme-client/api/v1/keys/sae-mec/enc_keys",
+                                 url="http://kme-client/api/v1/keys/sae-mec/enc_keys",
                                  body=body)
     assert response.status == 400
     assert loads(response.body)["code"] == "malformed"

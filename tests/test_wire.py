@@ -6,7 +6,7 @@ import json
 import uuid
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from edgeqkd.entropy import ByteStream, uuid4_from
 from edgeqkd.errors import MalformedError
@@ -157,15 +157,48 @@ def test_require_uuid_equals_uuid_module(value, spelling):
     assert _require_uuid(text) == str(uuid.UUID(text))
 
 
-@given(st.text(alphabet="0123456789abcdefABCDEF-{}:nruid_ g\n\u0661", max_size=46))
-def test_require_uuid_refuses_what_uuid_module_refuses(text):
-    try:
-        expected = str(uuid.UUID(text))
-    except ValueError:
+HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def is_rfc9562_spelling(text):
+    """Hyphenated in any case, braced, after `urn:uuid:`, or 32 bare hex digits."""
+    def hyphenated(t):
+        return (len(t) == 36 and all(t[i] == "-" for i in (8, 13, 18, 23))
+                and all(c in HEX_DIGITS for i, c in enumerate(t) if i not in (8, 13, 18, 23)))
+
+    return (hyphenated(text)
+            or (text.startswith("{") and text.endswith("}") and hyphenated(text[1:-1]))
+            or (text.startswith("urn:uuid:") and hyphenated(text[9:]))
+            or (len(text) == 32 and all(c in HEX_DIGITS for c in text)))
+
+
+ALPHABET = "0123456789abcdefABCDEF-{}:nruid_+ g\n\u0661"
+
+
+@st.composite
+def near_spellings(draw):
+    """A valid spelling with one character replaced, inserted or deleted."""
+    text = list(SPELLINGS[draw(st.sampled_from(sorted(SPELLINGS)))](str(draw(st.uuids()))))
+    at = draw(st.integers(0, len(text) - 1))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "delete":
+        del text[at]
+    else:
+        text[at:at + (edit == "replace")] = [draw(st.sampled_from(ALPHABET))]
+    return "".join(text)
+
+
+@given(st.one_of(st.text(alphabet=ALPHABET, max_size=46), near_spellings()))
+@example("7f9c_24e5-1cae-4b6e-9d3a-0123456789a")  # uuid.UUID reads the underscore
+@example("+7f9c24e51cae4b6e9d3a0123456789a")  # and a sign
+@example("7f9c24e5-1cae-4b6e-9d3a-0123456789a\u0661")  # and an Arabic-Indic one
+@example("{7F9C24E5-1CAE-4b6e-9d3a-0123456789ab}")
+def test_require_uuid_accepts_only_rfc9562_spellings(text):
+    if is_rfc9562_spelling(text):
+        assert _require_uuid(text) == str(uuid.UUID(text))
+    else:
         with pytest.raises(MalformedError):
             _require_uuid(text)
-    else:
-        assert _require_uuid(text) == expected
 
 
 @pytest.mark.parametrize("text", [
