@@ -19,7 +19,7 @@ from .errors import EdgeQkdError
 from .gateway import Gateway, RouteBinding
 from .harness import RunMetrics, RunResult, ScenarioConfig, run_scenario, wiretap_assert
 from .host import BUILTIN_HANDLERS, MecHost
-from .kme import EntropyPool, KmeStatus, new_kme_pair
+from .kme import EntropyPool, new_kme_pair
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "EntropyPool",
     "Gateway",
     "HostDescriptor",
-    "KmeStatus",
     "Lcmp",
     "MecHost",
     "Meo",

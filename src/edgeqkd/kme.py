@@ -1,11 +1,15 @@
 """Simulated key-management pair over a point-to-point quantum link.
 
 Two key-management entities (one per security perimeter) share a single
-entropy pool. The master-side entity dispenses fresh keys to its local
-application entity; the slave-side entity releases the matching bytes
-exactly once per key identifier, after which the material is purged from
-storage. Key bytes and identifiers are expanded deterministically from the
-pool seed, so identical request transcripts reproduce identical keys.
+entropy pool. Each entity acts for its local application entity and is a
+key source with the same three calls as the REST client `KmeClient`:
+`get_enc_keys` (master side: fresh keys), `get_dec_keys` (slave side: the
+matching bytes, exactly once per key identifier) and `get_status`, which
+returns the `wire.STATUS_FIELDS` dict. The pair keeps one ledger, key_ID to
+key bytes until the slave side releases them, then None: the material is
+purged, the id stays so a second release is refused. Key bytes and
+identifiers are expanded deterministically from the pool seed, so identical
+request transcripts reproduce identical keys.
 
 Rate model: the link produces secret bits continuously at the configured
 rate, metered as a cumulative production ledger; `capacity_bits` bounds the
@@ -17,7 +21,6 @@ initial capacity plus rate times elapsed time.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Sequence
 
 from .clock import Clock, SystemClock
@@ -45,35 +48,6 @@ from .wire import (
 # the most keys one enc_keys request may draw.
 DEFAULT_KEY_LENGTH = 256
 DEFAULT_MAX_KEYS_PER_REQUEST = 128
-
-MASTER = "master"
-SLAVE = "slave"
-
-
-@dataclass(slots=True)
-class KeyRecord:
-    key_id: str
-    key_bits: bytes | None  # purged (None) once the slave side has consumed it
-    master_sae: str
-    slave_sae: str
-    slave_consumed: bool = False
-
-
-@dataclass(frozen=True)
-class KmeStatus:
-    peer_sae: str
-    key_length_default: int
-    stored_key_count: int
-    max_key_per_request: int
-
-    def to_doc(self) -> dict:
-        return {
-            "peer_sae": self.peer_sae,
-            "key_length_default": self.key_length_default,
-            "stored_key_count": self.stored_key_count,
-            "max_key_per_request": self.max_key_per_request,
-        }
-
 
 class EntropyPool:
     """Shared per-pair randomness budget with rate-limited accrual.
@@ -144,15 +118,14 @@ class KmePair:
         self.master_sae = master_sae
         self.slave_sae = slave_sae
         self._ids = make_stream(seed, "qkd-key-id")
-        self._records: dict[str, KeyRecord] = {}
+        # key_ID -> key bytes until the slave side releases it, then None
+        self._records: dict[str, bytes | None] = {}
         self._lock = threading.RLock()
         self.dispensed_keys = 0
-        self.released_keys = 0
 
     # -- master side ---------------------------------------------------------
 
-    def dispense(self, caller_sae: str, slave_sae: str, key_length: int,
-                 count: int) -> list[tuple[str, bytes]]:
+    def dispense(self, slave_sae: str, key_length: int, count: int) -> list[tuple[str, bytes]]:
         """`count` fresh keys of `key_length` bits, each with its new key_ID.
 
         The batch is taken from the pool in one draw and cut into keys. A
@@ -164,79 +137,50 @@ class KmePair:
             raise BadLengthError(f"key length {key_length} is not a positive multiple of 8")
         if count < 1 or count > DEFAULT_MAX_KEYS_PER_REQUEST:
             raise BadLengthError(f"count must be in [1, {DEFAULT_MAX_KEYS_PER_REQUEST}]")
-        if caller_sae != self.master_sae or slave_sae != self.slave_sae:
+        if slave_sae != self.slave_sae:
             raise UnknownPeerError(
-                f"no master link {caller_sae!r} -> {slave_sae!r} on this entity"
+                f"no master link {self.master_sae!r} -> {slave_sae!r} on this entity"
             )
         with self._lock:
             # all-or-nothing: one draw checks the budget for the whole batch
             material = self.pool.draw(count * key_length)
             size = key_length // 8
-            out: list[tuple[str, bytes]] = []
-            for offset in range(0, len(material), size):
-                key = material[offset:offset + size]
-                key_id = uuid4_from(self._ids)
-                self._records[key_id] = KeyRecord(
-                    key_id=key_id, key_bits=key,
-                    master_sae=self.master_sae, slave_sae=self.slave_sae,
-                )
-                out.append((key_id, key))
-                self.dispensed_keys += 1
+            out = [(uuid4_from(self._ids), material[offset:offset + size])
+                   for offset in range(0, len(material), size)]
+            self._records.update(out)
+            self.dispensed_keys += count
             return out
 
     # -- slave side ----------------------------------------------------------
 
-    def release(self, caller_sae: str, master_sae: str,
-                key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
+    def release(self, master_sae: str, key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
+        """The keys named, each released once; a refused request releases none."""
         if not key_ids:
             raise BadLengthError("key_ids must not be empty")
+        if len(set(key_ids)) != len(key_ids):
+            raise BadLengthError("key_ids must not repeat a key_ID")
+        if master_sae != self.master_sae:
+            raise WrongPeerError(f"no key on this link is bound to {master_sae!r}")
         with self._lock:
-            records = []
-            for key_id in key_ids:
-                record = self._records.get(key_id)
-                if record is None:
-                    raise UnknownKeyIdError(f"no key with id {key_id}")
-                if record.slave_sae != caller_sae or record.master_sae != master_sae:
-                    raise WrongPeerError(f"key {key_id} is not bound to {caller_sae!r}")
-                if record.slave_consumed:
-                    raise AlreadyConsumedError(f"key {key_id} was already released")
-                records.append(record)
             out = []
-            for record in records:
-                assert record.key_bits is not None
-                out.append((record.key_id, record.key_bits))
-                record.slave_consumed = True
-                record.key_bits = None  # purge: no secret material retained
-                self.released_keys += 1
+            for key_id in key_ids:
+                if key_id not in self._records:
+                    raise UnknownKeyIdError(f"no key with id {key_id}")
+                key = self._records[key_id]
+                if key is None:
+                    raise AlreadyConsumedError(f"key {key_id} was already released")
+                out.append((key_id, key))
+            self._records.update(dict.fromkeys(key_ids))  # purge: no secret material retained
             return out
-
-    # -- shared --------------------------------------------------------------
-
-    def status(self, peer_sae: str, expected_peer: str, key_length: int | None = None) -> KmeStatus:
-        if peer_sae != expected_peer:
-            raise UnknownPeerError(f"unknown peer {peer_sae!r}")
-        length = DEFAULT_KEY_LENGTH if key_length is None else key_length
-        if length <= 0 or length % 8 != 0:
-            raise BadLengthError(f"key length {length} is not a positive multiple of 8")
-        with self._lock:
-            available = self.pool.accrue()
-        return KmeStatus(
-            peer_sae=peer_sae,
-            key_length_default=length,
-            stored_key_count=available // length,
-            max_key_per_request=DEFAULT_MAX_KEYS_PER_REQUEST,
-        )
 
     def holds_material(self, key_id: str) -> bool:
         with self._lock:
-            record = self._records.get(key_id)
-            return record is not None and record.key_bits is not None
+            return self._records.get(key_id) is not None
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "dispensed_keys": self.dispensed_keys,
-                "released_keys": self.released_keys,
                 "dispensed_bits": self.pool.dispensed_bits,
                 "produced_bits": self.pool.produced_bits,
                 "available_bits": self.pool.available_bits,
@@ -244,36 +188,38 @@ class KmePair:
 
 
 class KmeHandle:
-    """One entity of a pair: master dispenses, slave releases, both report status."""
+    """One entity of a pair, acting for its local SAE: the master side
+    dispenses, the slave side releases, both report status."""
 
-    def __init__(self, pair: KmePair, side: str) -> None:
-        if side not in (MASTER, SLAVE):
-            raise ValueError(f"side must be {MASTER!r} or {SLAVE!r}")
+    def __init__(self, pair: KmePair, *, master: bool) -> None:
         self.pair = pair
-        self.side = side
+        self.master = master
+        self.peer_sae = pair.slave_sae if master else pair.master_sae
 
-    @property
-    def local_sae(self) -> str:
-        return self.pair.master_sae if self.side == MASTER else self.pair.slave_sae
+    def get_enc_keys(self, slave_sae: str, *, size: int, number: int = 1) -> list[tuple[str, bytes]]:
+        if not self.master:
+            raise UnknownPeerError(f"{self.pair.slave_sae!r} is not registered as master here")
+        return self.pair.dispense(slave_sae, size, number)
 
-    @property
-    def peer_sae(self) -> str:
-        return self.pair.slave_sae if self.side == MASTER else self.pair.master_sae
+    def get_dec_keys(self, master_sae: str, key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
+        if self.master:
+            raise WrongPeerError(f"{self.pair.master_sae!r} is not the release side of this link")
+        return self.pair.release(master_sae, key_ids)
 
-    def get_enc_keys(self, caller_sae: str, slave_sae: str, key_length: int,
-                     count: int = 1) -> list[tuple[str, bytes]]:
-        if self.side != MASTER:
-            raise UnknownPeerError(f"{caller_sae!r} is not registered as master here")
-        return self.pair.dispense(caller_sae, slave_sae, key_length, count)
-
-    def get_dec_keys(self, caller_sae: str, master_sae: str,
-                     key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
-        if self.side != SLAVE:
-            raise WrongPeerError(f"{caller_sae!r} is not the release side of this link")
-        return self.pair.release(caller_sae, master_sae, key_ids)
-
-    def get_status(self, peer_sae: str, key_length: int | None = None) -> KmeStatus:
-        return self.pair.status(peer_sae, self.peer_sae, key_length)
+    def get_status(self, peer_sae: str, *, size: int | None = None) -> dict:
+        if peer_sae != self.peer_sae:
+            raise UnknownPeerError(f"unknown peer {peer_sae!r}")
+        length = DEFAULT_KEY_LENGTH if size is None else size
+        if length <= 0 or length % 8 != 0:
+            raise BadLengthError(f"key length {length} is not a positive multiple of 8")
+        with self.pair._lock:
+            available = self.pair.pool.accrue()
+        return {
+            "peer_sae": peer_sae,
+            "key_length_default": length,
+            "stored_key_count": available // length,
+            "max_key_per_request": DEFAULT_MAX_KEYS_PER_REQUEST,
+        }
 
 
 def new_kme_pair(seed: bytes | None, rate_bits_per_sec: int, capacity_bits: int, *,
@@ -283,7 +229,7 @@ def new_kme_pair(seed: bytes | None, rate_bits_per_sec: int, capacity_bits: int,
     """Create both ends of a link sharing one full pool. Roles are fixed for life."""
     pool = EntropyPool(seed, rate_bits_per_sec, capacity_bits, clock)
     pair = KmePair(pool, master_sae, slave_sae, seed=seed)
-    return KmeHandle(pair, MASTER), KmeHandle(pair, SLAVE)
+    return KmeHandle(pair, master=True), KmeHandle(pair, master=False)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +258,12 @@ class KmeApi:
         return router
 
     def _status(self, request: WireRequest, peer: str):
-        key_length = None
-        if "size" in request.query:
-            try:
-                key_length = int(request.query["size"])
-            except ValueError:
-                raise BadLengthError(f"bad size {request.query['size']!r}")
-        status = self._handle.get_status(peer, key_length)
-        return _json_ok(encode_status(status.to_doc()))
+        size = request.query.get("size")
+        if size is not None:
+            if not (size.isascii() and size.isdigit()):
+                raise BadLengthError(f"bad size {size!r}")
+            size = int(size)
+        return _json_ok(encode_status(self._handle.get_status(peer, size=size)))
 
     def _enc_keys(self, request: WireRequest, peer: str):
         doc = loads(request.body) if request.body else {}
@@ -329,7 +273,7 @@ class KmeApi:
         size = doc.get("size", DEFAULT_KEY_LENGTH)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (number, size)):
             raise BadLengthError("number and size must be integers")
-        keys = self._handle.get_enc_keys(self._handle.local_sae, peer, size, number)
+        keys = self._handle.get_enc_keys(peer, size=size, number=number)
         return _json_ok(encode_key_container(keys))
 
     def _dec_keys(self, request: WireRequest, peer: str):
@@ -339,10 +283,10 @@ class KmeApi:
             raise BadLengthError("dec_keys body must hold a non-empty key_IDs array")
         key_ids = []
         for item in ids_doc:
-            if not isinstance(item, dict) or "key_ID" not in item:
-                raise BadLengthError("key_IDs entries must be objects with key_ID")
-            key_ids.append(str(item["key_ID"]))
-        keys = self._handle.get_dec_keys(self._handle.local_sae, peer, key_ids)
+            if not isinstance(item, dict) or not isinstance(item.get("key_ID"), str):
+                raise BadLengthError("key_IDs entries must be objects with a string key_ID")
+            key_ids.append(item["key_ID"])
+        keys = self._handle.get_dec_keys(peer, key_ids)
         return _json_ok(encode_key_container(keys))
 
 

@@ -219,7 +219,9 @@ class Transport:
     """One exchange: record the request frame, send, and record the response
     frame. `register(name, peer)` is the one registry that resolves a URL's
     authority; subclasses supply `_send`. An unknown scheme or name, and a
-    PeerUnreachableError from `_send`, give a recorded 502 response."""
+    PeerUnreachableError from `_send`, give a recorded 502 response. A CR or
+    LF in the method, URL or a header raises MalformedError, and nothing is
+    recorded."""
 
     def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None) -> None:
         self._clock = clock or SystemClock()
@@ -234,12 +236,19 @@ class Transport:
     def request(self, *, src: str, channel: str, method: str, url: str,
                 headers: Mapping[str, str] | None = None, body: bytes = b"",
                 query: Mapping[str, str] | None = None) -> WireResponse:
+        fields = {}
+        head = method + url
+        for name, value in (headers or {}).items():
+            name = name.lower()
+            fields[name] = value
+            head += name + value
+        if "\n" in head or "\r" in head:
+            raise MalformedError("line break inside a request's target or a header")
         parts = urlsplit(url)
         query_map = dict(query) if query else {}
         if parts.query:
             query_map.update(parse_qsl(parts.query))
-        request = WireRequest(method=method.upper(), path=parts.path,
-                              headers={k.lower(): v for k, v in headers.items()} if headers else {},
+        request = WireRequest(method=method.upper(), path=parts.path, headers=fields,
                               body=body, query=query_map)
         target = f"{request.method} {parts.path}{_render_query(query_map)}"
         dst = parts.netloc

@@ -3,12 +3,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import pytest
 
 from edgeqkd.errors import NotFoundError
-from edgeqkd.kme import KmeHandle
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "scenario.example.json"
 
@@ -57,20 +56,6 @@ def holds(key_table, key_id: str) -> bool:
     except NotFoundError:
         return False
     return True
-
-
-class LocalKmeClient:
-    """The key-fetching surface of KmeClient, calling a handle directly (no wire)."""
-
-    def __init__(self, handle: KmeHandle) -> None:
-        self._handle = handle
-        self._caller = handle.local_sae
-
-    def get_enc_keys(self, slave_sae: str, *, size: int, number: int = 1) -> list[tuple[str, bytes]]:
-        return self._handle.get_enc_keys(self._caller, slave_sae, size, number)
-
-    def get_dec_keys(self, master_sae: str, key_ids: Sequence[str]) -> list[tuple[str, bytes]]:
-        return self._handle.get_dec_keys(self._caller, master_sae, key_ids)
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ def test_c2_pairing_oracle():
     def release(pair_idx: int, key_id: str) -> None:
         _, slave = pairs[pair_idx]
         try:
-            out = slave.get_dec_keys("sae-mec", "sae-client", [key_id])
+            out = slave.get_dec_keys("sae-client", [key_id])
             with lock:
                 successes.setdefault((pair_idx, key_id), []).append(out[0][1])
         except AlreadyConsumedError:
@@ -117,7 +117,7 @@ def test_c2_pairing_oracle():
         def sequence(args):
             pair_idx, length, count = args
             master, _ = pairs[pair_idx]
-            keys = master.get_enc_keys("sae-client", "sae-mec", length, count)
+            keys = master.get_enc_keys("sae-mec", size=length, number=count)
             with lock:
                 for key_id, key in keys:
                     dispensed[(pair_idx, key_id)] = key
@@ -153,14 +153,14 @@ def test_c3_consume_once():
     ids: list[str] = []
     while len(ids) < trials:
         batch = min(100, trials - len(ids))
-        ids.extend(k for k, _ in master.get_enc_keys("sae-client", "sae-mec", 64, batch))
+        ids.extend(k for k, _ in master.get_enc_keys("sae-mec", size=64, number=batch))
 
     outcomes: dict[str, list[str]] = {kid: [] for kid in ids}
     lock = threading.Lock()
 
     def attempt(kid: str) -> None:
         try:
-            slave.get_dec_keys("sae-mec", "sae-client", [kid])
+            slave.get_dec_keys("sae-client", [kid])
             result = "ok"
         except AlreadyConsumedError:
             result = "already"

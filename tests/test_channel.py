@@ -32,22 +32,19 @@ from edgeqkd.errors import (
 )
 from edgeqkd.kme import new_kme_pair
 
-from conftest import LocalKmeClient
-
 SEED = b"\x24" * 32
 
 
 def make_side(clock, rate=0, cap=1 << 20, policy=None, offered=(1,)):
-    """A client context (it holds its current key) plus the server-side kme and
-    key_ID -> key map for manual decrypts."""
+    """A client context (it holds its current key), both entities of its pair
+    (the client's and the server's key source) and the server's key_ID -> key
+    map for manual decrypts."""
     master, slave = new_kme_pair(SEED, rate, cap, clock=clock)
-    client_kme = LocalKmeClient(master)
-    server_kme = LocalKmeClient(slave)
     policy = policy or RefreshPolicy(max_uses=10, max_age_sec=3600)
     ctx = establish_context(
-        "sae-client", "sae-mec", list(offered), client_kme, policy, clock=clock,
+        "sae-client", "sae-mec", list(offered), master, policy, clock=clock,
     )
-    return ctx, client_kme, server_kme, {}, master, slave
+    return ctx, master, slave, {}
 
 
 def server_decrypt(envelope, server_keys, server_kme):
@@ -93,7 +90,7 @@ def test_negotiate_symmetric_and_in_intersection(a, b):
 # ---------------------------------------------------------------------------
 
 def test_establish_happy_path(sim_clock):
-    ctx, _, _, _, master, _ = make_side(sim_clock)
+    ctx, master, *_ = make_side(sim_clock)
     assert ctx.suite.suite_id == 1
     assert ctx.uses == 0
     assert ctx.key.bits is not None
@@ -105,17 +102,16 @@ def test_establish_exhausted_pool(sim_clock):
     master, _ = new_kme_pair(SEED, 0, 8, clock=sim_clock)  # 8 bits: far too small
     with pytest.raises(KeyExhaustedError):
         establish_context(
-            "sae-client", "sae-mec", [1], LocalKmeClient(master),
+            "sae-client", "sae-mec", [1], master,
             RefreshPolicy(1, 3600), clock=sim_clock,
         )
 
 
 def test_sequential_establishes_use_distinct_keys(sim_clock):
     master, _ = new_kme_pair(SEED, 0, 4096, clock=sim_clock)
-    kme = LocalKmeClient(master)
     ids = set()
     for _ in range(2):
-        ctx = establish_context("sae-client", "sae-mec", [1], kme,
+        ctx = establish_context("sae-client", "sae-mec", [1], master,
                                 RefreshPolicy(10, 3600), clock=sim_clock)
         ids.add(ctx.current_key_id)
     assert len(ids) == 2
@@ -140,7 +136,7 @@ def test_aead_roundtrip(sim_clock):
 
 
 def test_server_fetch_is_lazy_and_cached(sim_clock):
-    ctx, _, server_kme, server_keys, master, _ = make_side(sim_clock)
+    ctx, master, server_kme, server_keys = make_side(sim_clock)
     envelope = encrypt(ctx, b"payload", None, clock=sim_clock)
     assert master.pair.holds_material(ctx.current_key_id)
     server_decrypt(envelope, server_keys, server_kme)
@@ -152,11 +148,11 @@ def test_server_fetch_is_lazy_and_cached(sim_clock):
 
 def test_forced_refresh_consumes_two_keys(sim_clock):
     policy = RefreshPolicy(max_uses=1, max_age_sec=3600)
-    ctx, kme, _, _, master, _ = make_side(sim_clock, policy=policy)
+    ctx, kme, *_ = make_side(sim_clock, policy=policy)
     e1 = encrypt(ctx, b"one", kme, clock=sim_clock)
     e2 = encrypt(ctx, b"two", kme, clock=sim_clock)
     assert e1.key_id != e2.key_id
-    assert master.pair.dispensed_keys == 2
+    assert kme.pair.dispensed_keys == 2
 
 
 def test_rollover_replaces_the_cipher_with_the_key(sim_clock):
@@ -299,10 +295,10 @@ def test_should_refresh_boundaries(sim_clock):
 
 def test_refresh_accounting_seven_messages(sim_clock):
     policy = RefreshPolicy(max_uses=3, max_age_sec=1e9)
-    ctx, kme, _, _, master, _ = make_side(sim_clock, policy=policy)
+    ctx, kme, *_ = make_side(sim_clock, policy=policy)
     for i in range(7):
         encrypt(ctx, f"message {i}".encode(), kme, clock=sim_clock)
-    assert master.pair.dispensed_keys == math.ceil(7 / 3)
+    assert kme.pair.dispensed_keys == math.ceil(7 / 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -310,10 +306,10 @@ def test_refresh_accounting_seven_messages(sim_clock):
 def test_refresh_accounting_property(messages, max_uses):
     clock = SimulatedClock()
     policy = RefreshPolicy(max_uses=max_uses, max_age_sec=1e9)
-    ctx, kme, _, _, master, _ = make_side(clock, policy=policy)
+    ctx, kme, *_ = make_side(clock, policy=policy)
     for i in range(messages):
         encrypt(ctx, b"m%d" % i, kme, clock=clock)
-    assert master.pair.dispensed_keys == math.ceil(messages / max_uses)
+    assert kme.pair.dispensed_keys == math.ceil(messages / max_uses)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
 from edgeqkd.transport import InprocTransport, raise_for_status
 from edgeqkd.wire import dumps, loads
 
-from conftest import LocalKmeClient, holds
+from conftest import holds
 
 SEED = b"\x33" * 32
 CTX = "11111111-2222-4333-8444-555555555555"
@@ -44,11 +44,10 @@ def build_host(clock=None, slots=4, max_age=3600.0, handlers=None):
 
 
 def client_side(master, clock, policy=None, suite=1):
-    kme = LocalKmeClient(master)
     ctx = establish_context(
-        "sae-client", "sae-mec", [suite], kme, policy or RefreshPolicy(10, 3600), clock=clock,
+        "sae-client", "sae-mec", [suite], master, policy or RefreshPolicy(10, 3600), clock=clock,
     )
-    return ctx, kme
+    return ctx, master
 
 
 def app_doc(name="fn-echo", slots=1):
@@ -350,7 +349,7 @@ def _envelope_under_other_context_key(host, transport, inst, master, clock, ctx,
     # key B belongs to a second context and was released to another caller
     other = establish_context("sae-client", "sae-mec", [1], kme, RefreshPolicy(10, 3600),
                               clock=clock)
-    master.pair.release("sae-mec", "sae-client", [other.current_key_id])
+    master.pair.release("sae-client", [other.current_key_id])
     envelope = channel.encrypt(ctx, b"addressed to context A!", kme, clock=clock)
     return EncryptedEnvelope(other.current_key_id, envelope.suite_id, envelope.nonce,
                              envelope.ciphertext, envelope.sender_sae)

@@ -22,21 +22,21 @@ from edgeqkd.keystore import KeyStore
 from edgeqkd.kme import new_kme_pair
 from edgeqkd.transport import InprocTransport
 
-from conftest import LocalKmeClient, holds
+from conftest import holds
 
 SEED = b"\x5e" * 32
 CONTEXTS = ("ctx-aead", "ctx-pad")
 
 
-class RecordingKmeClient(LocalKmeClient):
-    """The host's KME client, noting every key_ID it obtains."""
+class RecordingKmeClient:
+    """The host's key source, noting every key_ID it obtains."""
 
     def __init__(self, handle) -> None:
-        super().__init__(handle)
+        self._handle = handle
         self.fetched: list[str] = []
 
     def get_dec_keys(self, master_sae, key_ids):
-        keys = super().get_dec_keys(master_sae, key_ids)
+        keys = self._handle.get_dec_keys(master_sae, key_ids)
         self.fetched.extend(key_id for key_id, _ in keys)
         return keys
 
@@ -60,7 +60,7 @@ class HostKeyTable(RuleBasedStateMachine):
         self.transport.register("edge-a", self.host.router())
         app = AppInfo(app_name="fn-rec", provider="demo", version="1.0", required_slots=1)
         self.inst = self.host.deploy(app, "fn-rec", None)
-        self.client_kme = LocalKmeClient(master)
+        self.client_kme = master
         self.contexts = {}
         for context_id, suite in zip(CONTEXTS, (1, 2)):
             self.host.attach_context(self.inst.uri, context_id)

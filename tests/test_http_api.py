@@ -10,7 +10,13 @@ import time
 import pytest
 
 from edgeqkd.clock import SimulatedClock, SystemClock
-from edgeqkd.errors import AlreadyConsumedError, KeyExhaustedError, PeerUnreachableError, UnknownPeerError
+from edgeqkd.errors import (
+    AlreadyConsumedError,
+    KeyExhaustedError,
+    MalformedError,
+    PeerUnreachableError,
+    UnknownPeerError,
+)
 from edgeqkd.harness import ScenarioConfig, Stack, run_scenario
 from edgeqkd.httpd import MAX_BODY_BYTES, MAX_HEAD_BYTES, ComponentHttpServer, HttpTransport
 from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
@@ -226,6 +232,40 @@ def test_http_query_values_are_percent_encoded(value):
     finally:
         transport.close()
         server.stop()
+
+
+@pytest.mark.parametrize("kind", ["inproc", "http"])
+@pytest.mark.parametrize("request_args", [
+    {"headers": {"x-a": "v\nInjected: 1"}},
+    {"headers": {"x-a": "v\r"}},
+    {"headers": {"x-a\r\nInjected": "1"}},
+    {"method": "GET /n HTTP/1.1\r\nInjected: 1\r\n\r\nGET"},
+    {"url": "http://peer/n\nInjected: 1"},
+], ids=["header-value-lf", "header-value-cr", "header-name-crlf", "method-crlf", "url-lf"])
+def test_line_break_in_a_request_head_is_refused_before_any_frame(kind, request_args):
+    calls = []
+    router = Router()
+    router.add("GET", "/n", lambda request: calls.append(request) or json_response(200, {}))
+    if kind == "http":
+        server = ComponentHttpServer("peer", router).start()
+        transport = HttpTransport(clock=SimulatedClock())
+        transport.register("peer", server.address)
+    else:
+        server = None
+        transport = InprocTransport(clock=SimulatedClock())
+        transport.register("peer", router)
+    try:
+        with pytest.raises(MalformedError):
+            transport.request(**{"src": "t", "channel": "mx2", "method": "GET",
+                                 "url": "http://peer/n", **request_args})
+        assert transport.transcript.records() == []
+        assert calls == []
+        # the transport still works for a clean request
+        assert transport.request(src="t", channel="mx2", method="GET", url="http://peer/n").status == 200
+    finally:
+        if server is not None:
+            transport.close()
+            server.stop()
 
 
 def _http_doc(workload, clock="simulated"):
