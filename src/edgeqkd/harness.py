@@ -216,6 +216,10 @@ class ScenarioConfig:
                 concurrency=int(w_doc.get("concurrency", 1)),
                 interval_sec=float(w_doc.get("interval_sec", 0.0)),
             )
+            # the path ends the URL of each request, which refuses these
+            if " " in item.path or not item.path.isprintable():
+                raise InvalidConfigError(
+                    f"workload path {item.path!r} holds a space or an unprintable character")
             if item.repeat < 1:
                 raise InvalidConfigError("workload repeat must be >= 1")
             if item.concurrency < 1:

@@ -171,13 +171,14 @@ class MecHost:
 
         One lock covers lookup, fetch and claim, so concurrent envelopes under
         an unseen key share one consume-once fetch, and a pad is taken from
-        the table by exactly one of them. A pad is claimed only once its
-        length check has passed, so a forged suite on a seen key burns nothing.
+        the table by exactly one of them. A miss (the table's `get` gives
+        None: an unseen, expired or evicted key) fetches the key from the KME
+        once. A pad is claimed only once its length check has passed, so a
+        forged suite on a seen key burns nothing.
         """
         with self._key_lock:
-            try:
-                entry = self._store.get(envelope.key_id)
-            except NotFoundError:
+            entry = self._store.get(envelope.key_id)
+            if entry is None:
                 try:
                     (_, key_bits), = self._kme.get_dec_keys(self.master_sae, [envelope.key_id])
                 except AlreadyConsumedError as exc:

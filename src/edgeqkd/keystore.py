@@ -1,7 +1,9 @@
 """The host's key table. Its owner serialises every call.
 
-Re-inserting a live id is an error, and lookups past the maximum age evict
-the entry and report not-found. An entry holds the key, built once at
+Re-inserting a live id is an error. A lookup returns None for an id the
+table does not hold, and a lookup past the maximum age evicts the entry and
+returns None too; a miss is the host's normal first sight of a fresh key,
+so it costs no exception. An entry holds the key, built once at
 `put` as a `channel.Key`: its bytes (their length fixes the suite, see
 `channel.SUITES`) and, beside them, their AES-GCM object, which goes
 whenever the entry goes. It also holds the context first served under the
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .channel import Key
 from .clock import Clock
-from .errors import DuplicateIdError, NotFoundError
+from .errors import DuplicateIdError
 
 
 @dataclass
@@ -42,13 +44,11 @@ class KeyStore:
         self._entries[key_id] = entry = KeyStoreEntry(key=Key(key_bits), inserted_at=now)
         return entry
 
-    def get(self, key_id: str) -> KeyStoreEntry:
+    def get(self, key_id: str) -> KeyStoreEntry | None:
         entry = self._entries.get(key_id)
-        if entry is None:
-            raise NotFoundError(f"no key {key_id} in store")
-        if self._clock.now() - entry.inserted_at > self._max_age:
+        if entry is not None and self._clock.now() - entry.inserted_at > self._max_age:
             del self._entries[key_id]
-            raise NotFoundError(f"key {key_id} expired")
+            return None
         return entry
 
     def bind(self, key_id: str, context_id: str) -> None:

@@ -107,18 +107,28 @@ class Router:
         return None
 
     def dispatch(self, request: WireRequest) -> WireResponse:
+        """The route's reply, or an error reply. A reply whose header name or
+        value holds a CR or LF is a component bug, answered with a 500 error
+        body, so neither transport writes a forged header line."""
         try:
             matched = self._match(request.method, request.path)
-            if matched is None:
-                if self._fallback is not None:
-                    return self._fallback(request)
+            if matched is not None:
+                fn, params = matched
+                response = fn(request, **params)
+            elif self._fallback is not None:
+                response = self._fallback(request)
+            else:
                 raise NotFoundError(f"no route for {request.method} {request.path}")
-            fn, params = matched
-            return fn(request, **params)
+            head = ""
+            for name, value in response.headers.items():
+                head += name + value
+            if "\n" in head or "\r" in head:
+                raise EdgeQkdError("line break inside a reply header")
         except EdgeQkdError as exc:
             return error_response(exc)
         except Exception as exc:  # component bug: surface as a 500 frame
             return error_response(EdgeQkdError(f"unhandled error: {exc}"))
+        return response
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +229,13 @@ class Transport:
     """One exchange: record the request frame, send, and record the response
     frame. `register(name, peer)` is the one registry that resolves a URL's
     authority; subclasses supply `_send`. An unknown scheme or name, and a
-    PeerUnreachableError from `_send`, give a recorded 502 response. A CR or
-    LF in the method, URL or a header raises MalformedError, and nothing is
-    recorded."""
+    PeerUnreachableError from `_send`, give a recorded 502 response. A space
+    or an unprintable character in the method or URL (`str.isprintable`:
+    every C0 control and DEL, and also C1 controls, format characters and
+    separators other than the space), and a CR or LF in a header, raise
+    MalformedError, and nothing is recorded: `urlsplit` would delete a tab
+    silently, HTTP would split a request line at a space, and the transcript
+    would not show an invisible character as sent."""
 
     def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None) -> None:
         self._clock = clock or SystemClock()
@@ -236,14 +250,17 @@ class Transport:
     def request(self, *, src: str, channel: str, method: str, url: str,
                 headers: Mapping[str, str] | None = None, body: bytes = b"",
                 query: Mapping[str, str] | None = None) -> WireResponse:
+        target = method + url
+        if " " in target or not target.isprintable():
+            raise MalformedError("space or unprintable character inside a request's method or URL")
         fields = {}
-        head = method + url
+        head = ""
         for name, value in (headers or {}).items():
             name = name.lower()
             fields[name] = value
             head += name + value
         if "\n" in head or "\r" in head:
-            raise MalformedError("line break inside a request's target or a header")
+            raise MalformedError("line break inside a request header")
         parts = urlsplit(url)
         query_map = dict(query) if query else {}
         if parts.query:

@@ -7,7 +7,15 @@ always serialize to identical bytes; decoding tolerates unknown extra fields
 but is strict about missing or ill-typed required ones.
 
 The JSON encoder and decoder are built once, at import, and shared by every
-call. A byte body is decoded as UTF-8, the one encoding RFC 8259 §8.1 allows
+call. The encoder is the C one that `json.dumps` uses, with its compact
+separators, ASCII-only output, no key sorting and NaN allowed. Its
+circular-reference check is off, so it keeps no state between calls and the
+HTTP server threads can share it; a value that contains itself raises
+RecursionError, not ValueError. Base64 takes one `binascii` call each
+way, and decoding is as strict as `base64.b64decode` with `validate=True`:
+a character outside the alphabet or a misplaced `=` is malformed.
+
+A byte body is decoded as UTF-8, the one encoding RFC 8259 §8.1 allows
 between systems; a UTF-16 or UTF-32 body, or one that starts with a byte
 order mark, is malformed. A key_ID already in canonical form (lowercase,
 hyphenated) is checked with one regular expression. Only the other RFC 9562
@@ -19,17 +27,20 @@ a non-ASCII digit) is malformed.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import json
 import re
 import uuid
+from binascii import a2b_base64, b2a_base64
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
 from .errors import MalformedError
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))  # ensure_ascii, so the bytes are ASCII
+# markers, default, string encoder (ASCII), indent, key and item separators,
+# sort_keys, skipkeys, allow_nan
+_ENCODE = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None,
+                         ":", ",", False, False, True)
 _DECODER = json.JSONDecoder()
 _CANONICAL_UUID = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{4}-[0-9a-f]{12}")
 _HYPHENATED = r"[0-9a-fA-F]{8}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{4}-[0-9a-fA-F]{12}"
@@ -38,7 +49,7 @@ _UUID_SPELLING = re.compile("|".join((_HYPHENATED, r"\{" + _HYPHENATED + r"\}",
 
 
 def dumps(obj: Any) -> bytes:
-    return _ENCODER.encode(obj).encode("ascii")
+    return "".join(_ENCODE(obj, 0)).encode("ascii")
 
 
 def loads(data: bytes | str) -> Any:
@@ -52,15 +63,15 @@ def loads(data: bytes | str) -> Any:
 
 
 def b64encode(raw: bytes) -> str:
-    return base64.b64encode(raw).decode("ascii")
+    return b2a_base64(raw, newline=False).decode("ascii")
 
 
 def b64decode(text: str) -> bytes:
     if not isinstance(text, str):
         raise MalformedError("expected base64 string")
     try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
-    except (binascii.Error, ValueError) as exc:
+        return a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise MalformedError(f"invalid base64: {exc}") from exc
 
 

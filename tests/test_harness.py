@@ -72,6 +72,10 @@ def echo_doc(**overrides):
         {"app_name": "fn-upper", "provider": "demo", "version": "1.0",
          "chain_to": {"app_name": "fn-echo", "provider": "demo", "version": "1.0"}},
     ]),
+    # a path that Transport.request would refuse mid-run
+    lambda d: d["workload"][0].update(path="/svc/a b"),
+    lambda d: d["workload"][0].update(path="/echo\tx"),
+    lambda d: d["workload"][0].update(path="/echo\u00a0x"),
 ])
 def test_invalid_configs_rejected(mutate):
     doc = echo_doc()

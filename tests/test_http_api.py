@@ -243,17 +243,44 @@ def test_http_query_values_are_percent_encoded(value):
     {"url": "http://peer/n\nInjected: 1"},
 ], ids=["header-value-lf", "header-value-cr", "header-name-crlf", "method-crlf", "url-lf"])
 def test_line_break_in_a_request_head_is_refused_before_any_frame(kind, request_args):
+    _assert_refused_before_any_frame(kind, request_args)
+
+
+@pytest.mark.parametrize("kind", ["inproc", "http"])
+@pytest.mark.parametrize("request_args", [
+    {"url": "http://peer/n\tx"},
+    {"url": "http://peer/n x"},
+    {"url": "http://peer/n?a=1 2"},
+    {"url": "\x01http://peer/n"},
+    {"url": "http://peer/n\x00"},
+    {"url": "http://peer/n\x7f"},
+    {"url": "http://peer/n\x85"},
+    {"url": "http://peer/n\u200b"},
+    {"method": "GE\tT"},
+    {"method": "GET "},
+], ids=["url-tab", "url-space", "query-space", "url-leading-c0", "url-nul", "url-del",
+        "url-c1-control", "url-zero-width-space", "method-tab", "method-space"])
+def test_space_or_unprintable_character_in_a_request_line_is_refused_before_any_frame(kind, request_args):
+    _assert_refused_before_any_frame(kind, request_args)
+
+
+def _serve(kind, router, name="peer"):
+    """A transport that reaches `router` under `name`, and the server, if any."""
+    if kind == "http":
+        server = ComponentHttpServer(name, router).start()
+        transport = HttpTransport(clock=SimulatedClock())
+        transport.register(name, server.address)
+        return transport, server
+    transport = InprocTransport(clock=SimulatedClock())
+    transport.register(name, router)
+    return transport, None
+
+
+def _assert_refused_before_any_frame(kind, request_args):
     calls = []
     router = Router()
     router.add("GET", "/n", lambda request: calls.append(request) or json_response(200, {}))
-    if kind == "http":
-        server = ComponentHttpServer("peer", router).start()
-        transport = HttpTransport(clock=SimulatedClock())
-        transport.register("peer", server.address)
-    else:
-        server = None
-        transport = InprocTransport(clock=SimulatedClock())
-        transport.register("peer", router)
+    transport, server = _serve(kind, router)
     try:
         with pytest.raises(MalformedError):
             transport.request(**{"src": "t", "channel": "mx2", "method": "GET",
@@ -266,6 +293,32 @@ def test_line_break_in_a_request_head_is_refused_before_any_frame(kind, request_
         if server is not None:
             transport.close()
             server.stop()
+
+
+@pytest.mark.parametrize("headers", [{"x-a": "v\nInjected: 1"}, {"x-a": "v\r"},
+                                     {"x-a\r\nInjected": "1"}],
+                         ids=["value-lf", "value-cr", "name-crlf"])
+def test_line_break_in_a_reply_head_is_a_500_on_both_transports(headers):
+    transcripts = []
+    for kind in ("inproc", "http"):
+        router = Router()
+        router.add("GET", "/n", lambda request: WireResponse(200, dict(headers), b"forged"))
+        router.add("GET", "/ok", lambda request: json_response(200, {}))
+        transport, server = _serve(kind, router)
+        try:
+            response = transport.request(src="t", channel="mx2", method="GET", url="http://peer/n")
+            assert response.status == 500
+            assert decode_error(response.body) == ("internal-error", "line break inside a reply header")
+            # the connection and the server survive the refused reply
+            assert transport.request(src="t", channel="mx2", method="GET", url="http://peer/ok").status == 200
+        finally:
+            if server is not None:
+                transport.close()
+                server.stop()
+        assert _exchanges(transport) == [("REQ", None, None), ("RSP", 500, "internal-error"),
+                                         ("REQ", None, None), ("RSP", 200, None)]
+        transcripts.append(transport.transcript.records())
+    assert transcripts[0] == transcripts[1]
 
 
 def _http_doc(workload, clock="simulated"):

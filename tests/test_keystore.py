@@ -6,7 +6,7 @@ import weakref
 import pytest
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from edgeqkd.errors import DuplicateIdError, NotFoundError
+from edgeqkd.errors import DuplicateIdError
 from edgeqkd.keystore import KeyStore
 
 from conftest import holds
@@ -37,8 +37,7 @@ def test_duplicate_put_rejected(store):
 
 
 def test_get_missing(store):
-    with pytest.raises(NotFoundError):
-        store.get("nope")
+    assert store.get("nope") is None
 
 
 def test_expiry_after_max_age(sim_clock):
@@ -47,9 +46,22 @@ def test_expiry_after_max_age(sim_clock):
     sim_clock.advance(10)
     assert held(store, "k1") == ["k1"]  # exactly max_age: still alive
     sim_clock.advance(0.001)
-    with pytest.raises(NotFoundError):
-        store.get("k1")
+    assert store.get("k1") is None
     assert len(store) == 0
+
+
+def test_get_is_none_after_a_miss_an_expiry_and_an_eviction(sim_clock):
+    store = KeyStore(sim_clock, max_age_sec=10)
+    assert store.get("never-stored") is None
+    store.put("old", b"o" * 32)
+    sim_clock.advance(11)
+    assert store.get("old") is None  # expired, and evicted by the lookup
+    assert len(store) == 0
+    for key_id in ("a1", "a2", "a3"):
+        store.put(key_id, key_id.encode() * 16)
+        store.bind(key_id, "ctx-a")
+    assert store.get("a1") is None  # the context's third key dropped its oldest
+    assert store.get("a3").context_id == "ctx-a"
 
 
 def test_reinsert_after_expiry(sim_clock):
@@ -119,8 +131,7 @@ def _third_bind(store, clock):
 
 def _expire(store, clock):
     clock.advance(61)
-    with pytest.raises(NotFoundError):
-        store.get("k")
+    assert store.get("k") is None
 
 
 @pytest.mark.parametrize("drop", [_discard, _detach, _third_bind, _expire],

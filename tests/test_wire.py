@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import base64
+import binascii
 import codecs
 import json
+import string
+import sys
+import threading
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,6 +17,8 @@ from edgeqkd.entropy import ByteStream, uuid4_from
 from edgeqkd.errors import MalformedError
 from edgeqkd.wire import (
     _require_uuid,
+    b64decode,
+    b64encode,
     decode_error,
     decode_key_container,
     decode_status,
@@ -108,14 +115,92 @@ def test_error_decode_degrades():
 # ---------------------------------------------------------------------------
 
 def json_values(floats=st.floats()):
-    scalars = st.none() | st.booleans() | st.integers() | floats | st.text()
+    integers = st.integers() | st.integers(min_value=-2**256, max_value=2**256)
+    scalars = st.none() | st.booleans() | integers | floats | st.text()
     return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
                         | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12)
 
 
 @given(json_values())
+@example({"k\u00e9y": ["\U0001f511", 1.5e300, -0.0, 2**200, {"": [[None, True]]}]})
+@example([float("nan"), float("inf"), float("-inf")])
 def test_dumps_equals_json_dumps(value):
-    assert dumps(value) == json.dumps(value, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+    assert dumps(value) == json.dumps(value, separators=(",", ":")).encode("ascii")
+
+
+class PythonItems(dict):
+    """A dict whose items() runs Python code, so a thread can switch inside an encode."""
+
+    def items(self):
+        return list(super().items())
+
+
+def test_shared_encoder_gives_each_thread_the_same_bytes():
+    doc = {"keys": [PythonItems(key_ID=KEY_ID, key=base64.b64encode(bytes([i]) * 32).decode())
+                    for i in range(64)], "nested": [[PythonItems(x=1.25, y="\u00e9")]] * 32}
+    expected = json.dumps(doc, separators=(",", ":")).encode("ascii")
+    barrier = threading.Barrier(4)
+
+    def encode_many():
+        barrier.wait(timeout=10)
+        return {dumps(doc) for _ in range(500)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [future.result(timeout=60)
+                       for future in [pool.submit(encode_many) for _ in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [{expected}] * 4
+
+
+BASE64_ALPHABET = string.ascii_letters + string.digits + "+/=" + " \t\n-_" + "\u00e9\u0661"
+
+
+@st.composite
+def base64_texts(draw):
+    """Valid base64 of drawn bytes, sometimes with one character changed,
+    inserted or deleted, or text drawn from the alphabet and its neighbours."""
+    text = base64.b64encode(draw(st.binary(max_size=48))).decode("ascii")
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete", "free"]))
+    if edit == "free":
+        return draw(st.text(alphabet=BASE64_ALPHABET, max_size=24))
+    if edit == "none":
+        return text
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    char = draw(st.sampled_from(BASE64_ALPHABET))
+    if edit == "insert":
+        return text[:at] + char + text[at:]
+    if edit == "replace":
+        return text[:at] + char + text[at + 1:]
+    return text[:at] + text[at + 1:]
+
+
+@given(base64_texts())
+@example("QUJD=")
+@example("QQ==\n")
+@example("=")
+def test_b64decode_equals_strict_base64_module(text):
+    try:
+        expected = base64.b64decode(text.encode("ascii"), validate=True)
+    except (binascii.Error, UnicodeEncodeError):
+        with pytest.raises(MalformedError):
+            b64decode(text)
+    else:
+        assert b64decode(text) == expected
+
+
+@given(st.binary(max_size=96))
+def test_b64encode_equals_base64_module(raw):
+    assert b64encode(raw) == base64.b64encode(raw).decode("ascii")
+    assert b64decode(b64encode(raw)) == raw
+
+
+def test_b64decode_refuses_non_strings():
+    with pytest.raises(MalformedError):
+        b64decode(b"QUJD")
 
 
 @given(json_values(st.floats(allow_nan=False)))
