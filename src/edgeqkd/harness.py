@@ -217,9 +217,9 @@ class ScenarioConfig:
                 interval_sec=float(w_doc.get("interval_sec", 0.0)),
             )
             # the path ends the URL of each request, which refuses these
-            if " " in item.path or not item.path.isprintable():
+            if " " in item.path or not (item.path.isascii() and item.path.isprintable()):
                 raise InvalidConfigError(
-                    f"workload path {item.path!r} holds a space or an unprintable character")
+                    f"workload path {item.path!r} holds a space, an unprintable or a non-ASCII character")
             if item.repeat < 1:
                 raise InvalidConfigError("workload repeat must be >= 1")
             if item.concurrency < 1:
@@ -403,10 +403,10 @@ def compute_metrics(records: Sequence[Record],
         chan = record.channel
         if chan not in ("client", "qkd", "mx2"):
             continue
-        payload = record.payload
+        head = record.head
         # the first line is "REQ <method> <target>" or "RSP <status> <method> <target>"
-        end = payload.find(b"\n")
-        first = (payload if end < 0 else payload[:end]).decode("utf-8", "replace").split(" ")
+        end = head.find(b"\n")
+        first = (head if end < 0 else head[:end]).decode("utf-8", "replace").split(" ")
         if first[0] != "RSP":
             if chan == "client":
                 pending_client_ts.append(record.ts)
@@ -419,10 +419,10 @@ def compute_metrics(records: Sequence[Record],
             if status == 200:
                 metrics.requests_ok += 1
             else:
-                code, _ = decode_error(payload.partition(b"\n\n")[2])
+                code, _ = decode_error(record.body)
                 metrics.errors[code] = metrics.errors.get(code, 0) + 1
         elif chan == "qkd" and status == 200 and path.endswith("/enc_keys"):
-            keys = decode_key_container(payload.partition(b"\n\n")[2])
+            keys = decode_key_container(record.body)
             metrics.qkd_keys_consumed += len(keys)
             metrics.qkd_bits_consumed += sum(len(key) * 8 for _, key in keys)
         elif chan == "mx2" and status == 201 and path.endswith("/app_contexts"):
@@ -475,10 +475,11 @@ def wiretap_assert(records: Sequence[Record],
                    forbidden: Sequence[bytes]) -> WiretapReport:
     """Fail iff any forbidden byte string occurs in an inter-domain payload.
 
-    A frame can hold a needle only if it holds the needle's first
-    `_WIRETAP_PREFIX` bytes, so a longer needle is searched for in full only
-    in frames that hold that prefix. A shorter needle is its own prefix and
-    is searched for once.
+    Each frame is searched as its joined `payload`, so a needle across the
+    end of the head and the start of the body is found. A frame can hold a
+    needle only if it holds the needle's first `_WIRETAP_PREFIX` bytes, so a
+    longer needle is searched for in full only in frames that hold that
+    prefix. A shorter needle is its own prefix and is searched for once.
     """
     findings: list[WiretapFinding] = []
     scanned = 0

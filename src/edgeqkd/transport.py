@@ -10,8 +10,12 @@ transport (see httpd) does the same over real sockets. Either way, every
 exchange is recorded in a Transcript as two frames (request and response),
 an unreachable peer's 502 included, so scenario metrics and the wiretap can
 be computed from the record alone, and both transports record the same bytes.
-Records hold the raw frame bytes; base64 appears only in the NDJSON form
-(`payload_b64`), which is encoded when read and decoded by `parse_ndjson`.
+A record holds its frame as two fields: `head`, the encoded first line and
+sorted headers ending in a blank line, and `body`, the very bytes object the
+exchange carried, so recording copies no body. `payload` joins the two when
+read; base64 appears only in the NDJSON form (`payload_b64`), which is
+encoded when read and decoded, and split at its first blank line, by
+`parse_ndjson`.
 """
 
 from __future__ import annotations
@@ -90,8 +94,9 @@ class Router:
         self._fallback = fn
 
     def _match(self, method: str, path: str) -> tuple[Callable[..., WireResponse], dict[str, str]] | None:
+        # methods are case-sensitive (RFC 9110 §9.1): `post` is no `POST`
         path = path.strip("/")
-        routes = self._routes.get((method.upper(), path.count("/") + 1))
+        routes = self._routes.get((method, path.count("/") + 1))
         if routes is None:
             return None
         segments = path.split("/")
@@ -108,8 +113,9 @@ class Router:
 
     def dispatch(self, request: WireRequest) -> WireResponse:
         """The route's reply, or an error reply. A reply whose header name or
-        value holds a CR or LF is a component bug, answered with a 500 error
-        body, so neither transport writes a forged header line."""
+        value holds a CR, an LF or a non-ASCII character is a component bug,
+        answered with a 500 error body, so neither transport writes a forged
+        header line and both send the same head."""
         try:
             matched = self._match(request.method, request.path)
             if matched is not None:
@@ -124,6 +130,8 @@ class Router:
                 head += name + value
             if "\n" in head or "\r" in head:
                 raise EdgeQkdError("line break inside a reply header")
+            if not head.isascii():
+                raise EdgeQkdError("non-ASCII character inside a reply header")
         except EdgeQkdError as exc:
             return error_response(exc)
         except Exception as exc:  # component bug: surface as a 500 frame
@@ -141,11 +149,14 @@ def _render_query(query: Mapping[str, str]) -> str:
     return "?" + urlencode(sorted(query.items()))
 
 
-def frame(first_line: str, headers: Mapping[str, str], body: bytes) -> bytes:
+def frame_head(first_line: str, headers: Mapping[str, str]) -> bytes:
+    """A frame's head: the first line and the sorted headers, ending in a
+    blank line. A head holds no other blank line, since no header line is
+    empty and the transports refuse a CR or LF inside one."""
     head = first_line
     for name in sorted(headers):
         head += f"\n{name}: {headers[name]}"
-    return (head + "\n\n").encode("utf-8") + body
+    return (head + "\n\n").encode("utf-8")
 
 
 _RECORD_KEYS = ("ts", "from", "to", "channel", "payload_b64")
@@ -153,30 +164,37 @@ _RECORD_ATTRS = {"ts": "ts", "from": "src", "to": "dst", "channel": "channel"}
 
 
 class Record(Mapping[str, Any]):
-    """One transcript frame. `payload` holds the raw frame bytes.
+    """One transcript frame: its `head` and its `body`, kept apart.
 
-    As a mapping the record has the NDJSON keys, in their written order;
-    its `payload_b64` is encoded on each read and never stored.
+    `payload`, the raw frame bytes, is the two joined on each read. As a
+    mapping the record has the NDJSON keys, in their written order; its
+    `payload_b64` is encoded on each read and never stored.
     """
 
-    __slots__ = ("_ts", "_src", "_dst", "_channel", "_payload")
+    __slots__ = ("_ts", "_src", "_dst", "_channel", "_head", "_body")
 
-    def __init__(self, ts: float, src: str, dst: str, channel: str, payload: bytes) -> None:
+    def __init__(self, ts: float, src: str, dst: str, channel: str, head: bytes, body: bytes) -> None:
         self._ts = ts
         self._src = src
         self._dst = dst
         self._channel = channel
-        self._payload = payload
+        self._head = head
+        self._body = body
 
     ts = property(attrgetter("_ts"))
     src = property(attrgetter("_src"))
     dst = property(attrgetter("_dst"))
     channel = property(attrgetter("_channel"))
-    payload = property(attrgetter("_payload"))
+    head = property(attrgetter("_head"))
+    body = property(attrgetter("_body"))
+
+    @property
+    def payload(self) -> bytes:
+        return self._head + self._body
 
     def __getitem__(self, key: str) -> Any:
         if key == "payload_b64":
-            return b64encode(self._payload)
+            return b64encode(self.payload)
         return getattr(self, _RECORD_ATTRS[key])
 
     def __iter__(self) -> Iterator[str]:
@@ -194,8 +212,10 @@ class Transcript:
         self._records: list[Record] = []
         self._lock = threading.Lock()
 
-    def append(self, src: str, dst: str, channel: str, payload: bytes) -> None:
-        record = Record(self._clock.now(), src, dst, channel, payload)
+    def append(self, src: str, dst: str, channel: str, head: bytes, body: bytes) -> None:
+        """Record a frame; `bytes(body)` is `body` itself when it is bytes,
+        and copies only a mutable buffer, so a record never changes."""
+        record = Record(self._clock.now(), src, dst, channel, head, bytes(body))
         with self._lock:
             self._records.append(record)
 
@@ -205,15 +225,17 @@ class Transcript:
 
     @staticmethod
     def parse_ndjson(data: bytes) -> list[Record]:
-        """Read NDJSON records back; a bad line raises MalformedError naming it."""
+        """Read NDJSON records back; a bad line raises MalformedError naming it.
+        Each payload is split after its first blank line, where its head ends."""
         records = []
         for number, line in enumerate(data.splitlines(), 1):
             if not line.strip():
                 continue
             try:
                 doc = json.loads(line)
+                head, blank, body = b64decode(doc["payload_b64"]).partition(b"\n\n")
                 records.append(Record(float(doc["ts"]), doc["from"], doc["to"], doc["channel"],
-                                      b64decode(doc["payload_b64"])))
+                                      head + blank, body))
             except KeyError as exc:
                 raise MalformedError(f"transcript line {number}: missing key {exc}") from exc
             except (ValueError, TypeError, MalformedError) as exc:
@@ -229,13 +251,14 @@ class Transport:
     """One exchange: record the request frame, send, and record the response
     frame. `register(name, peer)` is the one registry that resolves a URL's
     authority; subclasses supply `_send`. An unknown scheme or name, and a
-    PeerUnreachableError from `_send`, give a recorded 502 response. A space
-    or an unprintable character in the method or URL (`str.isprintable`:
-    every C0 control and DEL, and also C1 controls, format characters and
-    separators other than the space), and a CR or LF in a header, raise
-    MalformedError, and nothing is recorded: `urlsplit` would delete a tab
-    silently, HTTP would split a request line at a space, and the transcript
-    would not show an invisible character as sent."""
+    PeerUnreachableError from `_send`, give a recorded 502 response. A space,
+    an unprintable character (`str.isprintable`: every C0 control and DEL)
+    or a non-ASCII character in the method or URL, and a CR, an LF or a
+    non-ASCII character in a header, raise MalformedError, and nothing is
+    recorded: `urlsplit` would delete a tab silently, HTTP would split a
+    request line at a space, the transcript would not show an invisible
+    character as sent, and an HTTP head is latin-1 where the transcript is
+    UTF-8."""
 
     def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None) -> None:
         self._clock = clock or SystemClock()
@@ -251,8 +274,8 @@ class Transport:
                 headers: Mapping[str, str] | None = None, body: bytes = b"",
                 query: Mapping[str, str] | None = None) -> WireResponse:
         target = method + url
-        if " " in target or not target.isprintable():
-            raise MalformedError("space or unprintable character inside a request's method or URL")
+        if " " in target or not (target.isascii() and target.isprintable()):
+            raise MalformedError("space, unprintable or non-ASCII character inside a request's method or URL")
         fields = {}
         head = ""
         for name, value in (headers or {}).items():
@@ -261,6 +284,8 @@ class Transport:
             head += name + value
         if "\n" in head or "\r" in head:
             raise MalformedError("line break inside a request header")
+        if not head.isascii():
+            raise MalformedError("non-ASCII character inside a request header")
         parts = urlsplit(url)
         query_map = dict(query) if query else {}
         if parts.query:
@@ -269,7 +294,7 @@ class Transport:
                               body=body, query=query_map)
         target = f"{request.method} {parts.path}{_render_query(query_map)}"
         dst = parts.netloc
-        self.transcript.append(src, dst, channel, frame(f"REQ {target}", request.headers, body))
+        self.transcript.append(src, dst, channel, frame_head(f"REQ {target}", request.headers), body)
         try:
             if parts.scheme != "http":
                 raise PeerUnreachableError(f"unsupported URL scheme {parts.scheme!r}")
@@ -280,7 +305,7 @@ class Transport:
         except PeerUnreachableError as exc:
             response = error_response(exc)
         self.transcript.append(dst, src, channel,
-                               frame(f"RSP {response.status} {target}", response.headers, response.body))
+                               frame_head(f"RSP {response.status} {target}", response.headers), response.body)
         return response
 
     def _send(self, name: str, peer: Any, request: WireRequest) -> WireResponse:

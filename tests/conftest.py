@@ -54,7 +54,7 @@ def holds(key_table, key_id: str) -> bool:
 
 @dataclass(frozen=True)
 class Frame:
-    """A parsed transcript payload (the inverse of transport.frame)."""
+    """A parsed transcript payload (the inverse of `transport.frame_head` and a body)."""
 
     kind: str  # "REQ" | "RSP"
     status: int | None

@@ -16,7 +16,7 @@ from edgeqkd.harness import (
     run_scenario,
     wiretap_assert,
 )
-from edgeqkd.transport import Record, Transcript, frame
+from edgeqkd.transport import InprocTransport, Record, Router, Transcript, WireResponse, frame_head
 
 from conftest import EXAMPLE_VARIANTS, example_doc
 
@@ -76,6 +76,7 @@ def echo_doc(**overrides):
     lambda d: d["workload"][0].update(path="/svc/a b"),
     lambda d: d["workload"][0].update(path="/echo\tx"),
     lambda d: d["workload"][0].update(path="/echo\u00a0x"),
+    lambda d: d["workload"][0].update(path="/echo/\u20ac"),
 ])
 def test_invalid_configs_rejected(mutate):
     doc = echo_doc()
@@ -156,9 +157,9 @@ def ndjson_of(transcript: Transcript) -> bytes:
 def test_transcript_ndjson_bytes():
     clock = SimulatedClock()
     transcript = Transcript(clock)
-    transcript.append("client", "gateway", "client", b"REQ POST /echo\n\nhi")
+    transcript.append("client", "gateway", "client", b"REQ POST /echo\n\n", b"hi")
     clock.advance(0.25)
-    transcript.append("gateway", "client", "client", b"\x00\xff\n\n")
+    transcript.append("gateway", "client", "client", b"\x00\xff\n\n", b"")
     assert ndjson_of(transcript) == (
         b'{"ts":0.0,"from":"client","to":"gateway","channel":"client",'
         b'"payload_b64":"UkVRIFBPU1QgL2VjaG8KCmhp"}\n'
@@ -168,39 +169,78 @@ def test_transcript_ndjson_bytes():
 
 
 def joined_frame(first_line, headers, body):
-    """`frame` as first written, a list of lines joined: the oracle for its bytes."""
+    """A frame as first written, a list of lines joined: the oracle for its bytes."""
     head = [first_line] + [f"{k}: {v}" for k, v in sorted(headers.items())]
     return ("\n".join(head) + "\n\n").encode("utf-8") + body
 
 
 def test_frame_sorts_its_headers():
-    assert frame("REQ GET /x", {"x-b": "2", "a": "1"}, b"body") == b"REQ GET /x\na: 1\nx-b: 2\n\nbody"
+    assert frame_head("REQ GET /x", {"x-b": "2", "a": "1"}) == b"REQ GET /x\na: 1\nx-b: 2\n\n"
 
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+# what a transport lets into a head: no CR or LF
+HEAD_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                    max_size=12)
+BODIES = st.binary(max_size=64) | st.sampled_from([b"", b"\n\n", b"\n\nRSP 200\n\n\n", b"\xff\xfe\x80"])
 
 
-@given(TEXT, st.dictionaries(TEXT, TEXT, max_size=4), st.binary(max_size=16))
+@given(TEXT, st.dictionaries(TEXT, TEXT, max_size=4), BODIES)
 def test_frame_equals_a_joined_head(first_line, headers, body):
-    assert frame(first_line, headers, body) == joined_frame(first_line, headers, body)
+    record = Record(0.0, "src", "dst", "data", frame_head(first_line, headers), body)
+    assert record.payload == joined_frame(first_line, headers, body)
+    assert record.body is body
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(
     st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
     st.sampled_from(["client", "data", "qkd", "mx2"]),
-    st.binary(max_size=64) | st.sampled_from([b"", b"\xff\xfe\x80", b"RSP 200\n\n\n\nbody"]),
+    HEAD_TEXT, st.dictionaries(HEAD_TEXT, HEAD_TEXT, max_size=3), BODIES,
 ), max_size=12))
 def test_transcript_ndjson_round_trip(frames):
     clock = SimulatedClock()
     transcript = Transcript(clock)
-    for step, channel, payload in frames:
+    for step, channel, first_line, headers, body in frames:
         clock.advance(step)
-        transcript.append("src", "dst", channel, payload)
+        transcript.append("src", "dst", channel, frame_head(first_line, headers), body)
     original = transcript.records()
     parsed = Transcript.parse_ndjson(ndjson_of(transcript))
     assert parsed == original
-    assert [r.payload for r in parsed] == [payload for _, _, payload in frames]
+    # the first blank line ends the head, whatever blank lines the body holds
+    assert [(r.head, r.body) for r in parsed] == [(r.head, r.body) for r in original]
+    assert [r.payload for r in parsed] == [joined_frame(first_line, headers, body)
+                                           for _, _, first_line, headers, body in frames]
+
+
+def test_an_exchange_records_the_body_objects_it_carried():
+    sent = b"request body \n\n with a blank line"
+    replies = []
+
+    def echo(request):
+        replies.append(WireResponse(200, body=request.body + b"!"))
+        return replies[-1]
+
+    router = Router()
+    router.add("POST", "/n", echo)
+    transport = InprocTransport(clock=SimulatedClock())
+    transport.register("peer", router)
+    transport.request(src="t", channel="data", method="POST", url="http://peer/n", body=sent)
+    request, response = transport.transcript.records()
+    assert request.body is sent
+    assert response.body is replies[0].body
+    assert request.payload == b"REQ POST /n\n\n" + sent
+
+
+def test_a_mutable_body_is_recorded_as_bytes():
+    router = Router()
+    router.add("POST", "/n", lambda request: WireResponse(200, body=request.body))
+    transport = InprocTransport(clock=SimulatedClock())
+    transport.register("peer", router)
+    body = bytearray(b"before")
+    transport.request(src="t", channel="data", method="POST", url="http://peer/n", body=body)
+    body[:] = b"after!"
+    assert [(type(r.body), r.body) for r in transport.transcript.records()] == [(bytes, b"before")] * 2
 
 
 def test_reproducibility_same_seed():
@@ -284,7 +324,8 @@ LONG_NEEDLE = bytes(range(32, 127)) * 2  # 190 bytes: searched for behind its fi
 
 
 def data_frame(payload):
-    return Record(0.0, "gateway", "edge-a", "data", payload)
+    """A data-channel record whose whole payload is its head."""
+    return Record(0.0, "gateway", "edge-a", "data", payload, b"")
 
 
 def test_wiretap_long_needle_whose_prefix_alone_occurs_is_no_finding():
@@ -301,9 +342,29 @@ def test_wiretap_long_needle_split_across_two_frames_is_no_finding():
 
 def test_wiretap_finds_a_long_needle_whole_in_one_frame():
     frames = [data_frame(b"x"), data_frame(b"head " + LONG_NEEDLE + b" tail"),
-              Record(0.0, "kme-client", "gateway", "qkd", LONG_NEEDLE)]
+              Record(0.0, "kme-client", "gateway", "qkd", LONG_NEEDLE, b"")]
     report = wiretap_assert(frames, [b"short", LONG_NEEDLE])
     assert [(f.record_index, f.channel) for f in report.findings] == [(1, "data")]
+
+
+@pytest.mark.parametrize("in_head, in_body", [(3, 5), (20, 100), (70, 30)],
+                         ids=["short", "long-prefix-across", "long-prefix-in-head"])
+def test_wiretap_finds_a_needle_across_the_end_of_the_head(in_head, in_body):
+    head = frame_head("REQ POST /n", {"x-a": "h" * 80})
+    body = LONG_NEEDLE + b" tail"
+    needle = head[-in_head:] + body[:in_body]
+    frames = [Record(0.0, "gateway", "edge-a", "data", head, b"other body"),
+              Record(0.0, "gateway", "edge-a", "data", head, body)]
+    report = wiretap_assert(frames, [needle])
+    assert [f.record_index for f in report.findings] == [1]
+
+
+@pytest.mark.parametrize("needle", [LONG_NEEDLE, b"secret-0123456789"], ids=["long", "short"])
+def test_wiretap_finds_a_needle_inside_a_header_value(needle):
+    head = frame_head("RSP 200 POST /n", {"x-a": "<" + needle.decode("ascii") + ">"})
+    frames = [Record(0.0, "edge-a", "gateway", "data", head, b"clean body")]
+    report = wiretap_assert(frames, [needle])
+    assert [f.record_index for f in report.findings] == [0]
 
 
 def test_explicit_forbidden_plaintexts_config():

@@ -264,6 +264,20 @@ def test_space_or_unprintable_character_in_a_request_line_is_refused_before_any_
     _assert_refused_before_any_frame(kind, request_args)
 
 
+@pytest.mark.parametrize("kind", ["inproc", "http"])
+@pytest.mark.parametrize("request_args", [
+    {"url": "http://peer/\u20ac"},
+    {"url": "http://peer/n?a=\u00e9"},
+    {"method": "G\u00c9T"},
+    {"headers": {"x-a": "\u20ac"}},
+    {"headers": {"x-a": "\u00e9"}},
+    {"headers": {"x-\u20ac": "1"}},
+], ids=["url-euro", "query-latin1", "method-latin1", "header-value-euro", "header-value-latin1",
+        "header-name-euro"])
+def test_non_ascii_character_in_a_request_head_is_refused_before_any_frame(kind, request_args):
+    _assert_refused_before_any_frame(kind, request_args)
+
+
 def _serve(kind, router, name="peer"):
     """A transport that reaches `router` under `name`, and the server, if any."""
     if kind == "http":
@@ -299,6 +313,16 @@ def _assert_refused_before_any_frame(kind, request_args):
                                      {"x-a\r\nInjected": "1"}],
                          ids=["value-lf", "value-cr", "name-crlf"])
 def test_line_break_in_a_reply_head_is_a_500_on_both_transports(headers):
+    _assert_reply_head_is_a_500(headers, "line break inside a reply header")
+
+
+@pytest.mark.parametrize("headers", [{"x-a": "\u20ac"}, {"x-a": "\u00e9"}, {"x-\u20ac": "1"}],
+                         ids=["value-euro", "value-latin1", "name-euro"])
+def test_non_ascii_character_in_a_reply_head_is_a_500_on_both_transports(headers):
+    _assert_reply_head_is_a_500(headers, "non-ASCII character inside a reply header")
+
+
+def _assert_reply_head_is_a_500(headers, message):
     transcripts = []
     for kind in ("inproc", "http"):
         router = Router()
@@ -308,7 +332,7 @@ def test_line_break_in_a_reply_head_is_a_500_on_both_transports(headers):
         try:
             response = transport.request(src="t", channel="mx2", method="GET", url="http://peer/n")
             assert response.status == 500
-            assert decode_error(response.body) == ("internal-error", "line break inside a reply header")
+            assert decode_error(response.body) == ("internal-error", message)
             # the connection and the server survive the refused reply
             assert transport.request(src="t", channel="mx2", method="GET", url="http://peer/ok").status == 200
         finally:
@@ -555,3 +579,11 @@ def test_hostile_request_is_answered_and_closed(raw_server, head, status):
     # the server keeps serving other connections
     [(got, _, body)] = _responses(_raw(raw_server, b"GET /q?ok=1 HTTP/1.1\r\nconnection: close\r\n\r\n"))
     assert (got, body) == (200, b'{"ok":"1"}')
+
+
+def test_request_method_is_matched_case_sensitively(raw_server):
+    # the router has a `POST /echo` route; `post` is another method (RFC 9110 §9.1)
+    reply = _raw(raw_server, b"post /echo HTTP/1.1\r\ncontent-length: 2\r\nconnection: close\r\n\r\nhi")
+    [(status, _, body)] = _responses(reply)
+    assert status == 404
+    assert loads(body)["code"] == "not-found"

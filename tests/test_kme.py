@@ -191,7 +191,8 @@ def rest_pair():
 @pytest.mark.parametrize("method, url, body", [
     ("GET", "http://kme-client/api/v1/keys/sae-mec/status?size=0", b""),
     ("POST", "http://kme-client/api/v1/keys/sae-mec/enc_keys", dumps({"number": True, "size": 256})),
-    ("GET", "http://kme-client/api/v1/keys/sae-mec/status?size=\u0662\u0665\u0666", b""),
+    # "\u0662\u0665\u0666" percent-encoded: a URL itself must be ASCII
+    ("GET", "http://kme-client/api/v1/keys/sae-mec/status?size=%D9%A2%D9%A5%D9%A6", b""),
     ("GET", "http://kme-client/api/v1/keys/sae-mec/status?size=2_56", b""),
     ("POST", "http://kme-mec/api/v1/keys/sae-client/dec_keys", dumps({"key_IDs": [{"key_ID": None}]})),
 ], ids=["status-size-zero", "enc-keys-boolean-number", "status-size-arabic-indic-digits",

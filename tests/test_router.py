@@ -2,7 +2,8 @@
 
 `linear_match` below is the router's earlier `_match`, kept here as the
 oracle: it walks every route in the order added and returns the first whose
-method and segments fit. The differential test checks that the new router
+method and segments fit. A route's method is upper-cased when it is added,
+and a request's method must then match it exactly (RFC 9110 §9.1). The differential test checks that the new router
 picks the same route, with the same captured params, for generated route
 tables and paths, and that a miss still goes to the fallback or to 404.
 """
@@ -18,7 +19,7 @@ from edgeqkd.wire import dumps, loads
 def linear_match(routes, method, path):
     segments = path.strip("/").split("/")
     for route_method, pattern, fn in routes:
-        if route_method != method.upper() or len(pattern) != len(segments):
+        if route_method != method or len(pattern) != len(segments):
             continue
         params: dict[str, str] = {}
         for expected, actual in zip(pattern, segments):
@@ -95,7 +96,9 @@ tables = st.lists(st.tuples(st.sampled_from(["GET", "POST", "get"]), patterns), 
 @example(table=[("GET", "/a/{x}")], with_fallback=True,
          method="GET", path="/a/b/c")  # segment-count mismatch, to the fallback
 @example(table=[("GET", "a/{x}/")], with_fallback=False,
-         method="get", path="//a/b//")  # leading and trailing slashes
+         method="GET", path="//a/b//")  # leading and trailing slashes
+@example(table=[("get", "/a")], with_fallback=False,
+         method="get", path="/a")  # a route's method is upper-cased, a request's is not
 @example(table=[("GET", "/{x}/{x}")], with_fallback=False,
          method="GET", path="/a/b")  # a repeated capture keeps the last segment
 @example(table=[], with_fallback=False, method="GET", path="/")
