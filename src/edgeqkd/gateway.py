@@ -15,6 +15,7 @@ costs exactly one context and one key.
 
 from __future__ import annotations
 
+import hmac
 import logging
 import threading
 from dataclasses import dataclass, field
@@ -76,7 +77,9 @@ class Gateway:
         self._offered = tuple(offered_suites)
         self._sae = sae_id
         self._server_sae = server_sae
-        self._auth_token = auth_token
+        # compared as bytes in constant time: hmac.compare_digest refuses a non-ASCII str
+        self._authorization = (None if auth_token is None
+                               else f"Bearer {auth_token}".encode("utf-8", "surrogatepass"))
         self._component = component
 
     @property
@@ -140,9 +143,10 @@ class Gateway:
                        headers: dict[str, str] | None = None) -> WireResponse:
         headers = {k.lower(): v for k, v in (headers or {}).items()}
         try:
-            if self._auth_token is not None:
-                if headers.get("authorization") != f"Bearer {self._auth_token}":
-                    raise UnauthorizedError("missing or invalid bearer token")
+            if self._authorization is not None and not hmac.compare_digest(
+                    headers.get("authorization", "").encode("utf-8", "surrogatepass"),
+                    self._authorization):
+                raise UnauthorizedError("missing or invalid bearer token")
             binding = self.binding_for(path)
             return self._proxy(binding, body)
         except KeyExhaustedError as exc:

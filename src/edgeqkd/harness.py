@@ -23,6 +23,8 @@ from __future__ import annotations
 import re
 import threading
 import time as _time
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -30,7 +32,7 @@ from . import channel
 from .clock import Clock, SimulatedClock, SystemClock
 from .control import AppInfo, Catalog, CatalogEntry, HostCommander, Lcmp, Meo
 from .entropy import make_stream
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, MalformedError
 from .gateway import Gateway, RouteBinding
 from .host import BUILTIN_HANDLERS, MecHost
 from .httpd import ComponentHttpServer, HttpTransport
@@ -388,44 +390,67 @@ class RunMetrics:
         }
 
 
+# the channels whose replies the metrics count
+_METERED_CHANNELS = frozenset({"client", "qkd", "mx2"})
+# what may follow "RSP" in a reply head: its fields, the end of the line, or nothing
+_AFTER_RSP = frozenset({b" ", b"\n", b""})
+
+
 def compute_metrics(records: Sequence[Record],
                     latencies: Sequence[float] | None = None) -> RunMetrics:
     """Derive run metrics from a transcript.
+
+    A frame on the client, qkd or mx2 channel is a reply when the first word
+    of its head is `RSP`: its first line is `RSP <status> <method> <target>`,
+    split at spaces as bytes and never decoded. A reply whose status is not
+    an integer raises MalformedError naming the record. Only a qkd reply's
+    key container and a client error reply's body are parsed.
 
     When driver-side latencies are not supplied (e.g. when re-reporting a
     stored transcript) they are estimated by pairing client-channel request
     and response frames in order, which is exact for serialized runs.
     """
     metrics = RunMetrics()
-    pending_client_ts: list[float] = []
+    pending_client_ts: deque[float] = deque()
     paired_latencies: list[float] = []
-    for record in records:
+    for index, record in enumerate(records):
         chan = record.channel
-        if chan not in ("client", "qkd", "mx2"):
+        if chan not in _METERED_CHANNELS:
             continue
         head = record.head
-        # the first line is "REQ <method> <target>" or "RSP <status> <method> <target>"
-        end = head.find(b"\n")
-        first = (head if end < 0 else head[:end]).decode("utf-8", "replace").split(" ")
-        if first[0] != "RSP":
+        if head[:3] != b"RSP" or head[3:4] not in _AFTER_RSP:
             if chan == "client":
                 pending_client_ts.append(record.ts)
             continue
-        status, path = int(first[1]), first[3] if len(first) > 3 else ""
+        end = head.find(b"\n")
+        line = head if end < 0 else head[:end]
+        first = line.split(b" ")
+        try:
+            status = int(first[1])
+        except (IndexError, ValueError):
+            raise MalformedError(
+                f"transcript record {index} ({chan}): reply line {line!r} has no integer status"
+            ) from None
         if chan == "client":
             if pending_client_ts:
-                paired_latencies.append(record.ts - pending_client_ts.pop(0))
+                paired_latencies.append(record.ts - pending_client_ts.popleft())
             metrics.requests_total += 1
             if status == 200:
                 metrics.requests_ok += 1
             else:
                 code, _ = decode_error(record.body)
                 metrics.errors[code] = metrics.errors.get(code, 0) + 1
-        elif chan == "qkd" and status == 200 and path.endswith("/enc_keys"):
-            keys = decode_key_container(record.body)
+            continue
+        # a decoded target ends in an ASCII suffix exactly when its bytes do
+        path = first[3] if len(first) > 3 else b""
+        if chan == "qkd" and status == 200 and path.endswith(b"/enc_keys"):
+            try:
+                keys = decode_key_container(record.body)
+            except MalformedError as exc:
+                raise MalformedError(f"transcript record {index} (qkd): {exc.message}") from exc
             metrics.qkd_keys_consumed += len(keys)
             metrics.qkd_bits_consumed += sum(len(key) * 8 for _, key in keys)
-        elif chan == "mx2" and status == 201 and path.endswith("/app_contexts"):
+        elif chan == "mx2" and status == 201 and path.endswith(b"/app_contexts"):
             metrics.contexts_created += 1
     metrics.key_exhausted_count = metrics.errors.get("key-exhausted", 0)
     values = list(latencies) if latencies is not None else paired_latencies
@@ -469,35 +494,86 @@ class WiretapReport:
 
 
 _WIRETAP_PREFIX = 64
+# inter-domain frames are laid end to end and searched about this many bytes at a time
+_WIRETAP_CHUNK = 64 * 1024
 
 
 def wiretap_assert(records: Sequence[Record],
                    forbidden: Sequence[bytes]) -> WiretapReport:
-    """Fail iff any forbidden byte string occurs in an inter-domain payload.
+    """Fail iff any forbidden byte string occurs in an inter-domain frame.
 
-    Each frame is searched as its joined `payload`, so a needle across the
-    end of the head and the start of the body is found. A frame can hold a
-    needle only if it holds the needle's first `_WIRETAP_PREFIX` bytes, so a
-    longer needle is searched for in full only in frames that hold that
-    prefix. A shorter needle is its own prefix and is searched for once.
+    A frame is its head followed by its body, so a needle across the end of
+    the head is found. The frames are laid end to end in a chunk, which is
+    joined and searched, once per needle, when it reaches `_WIRETAP_CHUNK`
+    bytes: a chunk holds whole frames, and a longer frame is a chunk of its
+    own. The search is for the needle's first `_WIRETAP_PREFIX` bytes (a
+    shorter needle is its own prefix), and it is exact:
+
+    - Every occurrence of a needle in a frame is one in the frame's chunk,
+      and it starts with an occurrence of the prefix.
+    - `find` returns the first prefix at or after where the search resumes,
+      and the search resumes only at the start of a frame. So a hit is the
+      first prefix in its frame, which `bisect` finds from the frame starts.
+    - The frame holds the needle iff the needle occurs between the hit and
+      the frame's end. A needle that does not end inside the frame would
+      cross into the next frame, or the next chunk, and is not a finding.
+    - Either way the frame is settled, so the search resumes at its end, and
+      a needle gives each frame at most one finding, as a per-frame test
+      would. Findings come in record order, then in needle order.
     """
-    findings: list[WiretapFinding] = []
+    needles = [(position, needle[:_WIRETAP_PREFIX], needle)
+               for position, needle in enumerate(forbidden) if needle]
+    chunk_bytes = _WIRETAP_CHUNK
+    hits: list[tuple[int, int]] = []  # (record index, needle position)
     scanned = 0
-    needles = [(n[:_WIRETAP_PREFIX], n) for n in forbidden if n]
+    parts: list[bytes] = []
+    starts: list[int] = []
+    indices: list[int] = []
+    size = 0
     for index, record in enumerate(records):
         if record.channel not in INTER_DOMAIN_CHANNELS:
             continue
-        scanned += 1
-        payload = record.payload
-        for prefix, needle in needles:
-            if prefix in payload and (prefix is needle or needle in payload):
-                findings.append(WiretapFinding(
-                    record_index=index, channel=record.channel,
-                    src=record.src, dst=record.dst,
-                    needle_preview=repr(needle[:24]),
-                ))
+        head = record.head
+        body = record.body
+        parts += head, body
+        starts.append(size)
+        indices.append(index)
+        size += len(head) + len(body)
+        if size >= chunk_bytes:
+            _search_chunk(parts, starts, indices, needles, hits)
+            scanned += len(indices)
+            parts, starts, indices, size = [], [], [], 0
+    if indices:
+        _search_chunk(parts, starts, indices, needles, hits)
+        scanned += len(indices)
+    hits.sort()
+    findings = []
+    for index, position in hits:
+        record = records[index]
+        findings.append(WiretapFinding(
+            record_index=index, channel=record.channel, src=record.src, dst=record.dst,
+            needle_preview=repr(forbidden[position][:24]),
+        ))
     return WiretapReport(passed=not findings, findings=tuple(findings),
                          frames_scanned=scanned)
+
+
+def _search_chunk(parts: list[bytes], starts: list[int], indices: list[int],
+                  needles: list[tuple[int, bytes, bytes]], hits: list[tuple[int, int]]) -> None:
+    """Add a (record index, needle position) hit for each needle that a
+    frame of one chunk holds. The chunk is `parts` joined; its frame `i` is
+    record `indices[i]` and starts at offset `starts[i]`."""
+    chunk = b"".join(parts)
+    starts.append(len(chunk))  # the end of the last frame
+    find = chunk.find
+    for position, prefix, needle in needles:
+        hit = find(prefix)
+        while hit >= 0:
+            frame = bisect_right(starts, hit)
+            end = starts[frame]
+            if find(needle, hit, end) >= 0:
+                hits.append((indices[frame - 1], position))
+            hit = find(prefix, end)
 
 
 def _drive_workload(stack: Stack, config: ScenarioConfig) -> list[float]:

@@ -222,6 +222,18 @@ def test_otp_reply_shares_no_pad_bits(sim_clock):
     assert request.ciphertext[: len(reply.ciphertext)] != reply.ciphertext
 
 
+def test_otp_request_and_reply_must_fit_the_pad_together(sim_clock):
+    # the request reads the 256-byte pad from the front, the reply from the back
+    ctx, kme, server_kme, server_keys, *_ = make_side(sim_clock, offered=(2,))
+    request = encrypt(ctx, bytes(200), kme, clock=sim_clock)
+    server_decrypt(request, server_keys, server_kme)
+    key = server_keys[request.key_id]
+    with pytest.raises(MessageTooLongError):
+        encrypt_response(request, bytes(57), key, "sae-mec")
+    reply = encrypt_response(request, bytes(56), key, "sae-mec")
+    assert decrypt(reply, ctx.key, response=True) == bytes(56)
+
+
 def test_tampered_ciphertext_fails_auth(sim_clock):
     ctx, _, server_kme, server_keys, *_ = make_side(sim_clock)
     envelope = encrypt(ctx, b"integrity matters", None, clock=sim_clock)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
@@ -103,6 +104,20 @@ def test_report_rejects_malformed_transcript_line(tmp_path, capsys, bad_line):
     assert main(["report", str(transcript_out)]) == 2
     err = capsys.readouterr().err
     assert "error [malformed]" in err and "line 3" in err
+
+
+@pytest.mark.parametrize("reply_head", [b"RSP abc POST /echo\n\n", b"RSP"],
+                         ids=["status-not-a-number", "bare-rsp"])
+def test_report_rejects_a_malformed_reply_head(tmp_path, capsys, reply_head):
+    transcript_out = tmp_path / "t.ndjson"
+    transcript_out.write_bytes(b"".join(
+        json.dumps({"ts": 0.0, "from": src, "to": dst, "channel": "client",
+                    "payload_b64": base64.b64encode(payload).decode()}).encode() + b"\n"
+        for src, dst, payload in [("client", "gateway", b"REQ POST /echo\n\nhi"),
+                                  ("gateway", "client", reply_head)]))
+    assert main(["report", str(transcript_out)]) == 2
+    err = capsys.readouterr().err
+    assert "error [malformed]" in err and "record 1" in err
 
 
 def test_seed_flag_overrides_config(tmp_path):

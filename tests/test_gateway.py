@@ -335,6 +335,17 @@ def test_auth_token_checked_when_configured():
     assert allowed.status == 200
 
 
+def test_auth_token_refuses_a_near_miss():
+    stack = build(auth_token="letmein")
+    for authorization in ("Bearer letmeim", "Bearer letme", "Bearer letmein2", ""):
+        denied = stack.transport.request(
+            src="client", channel="client", method="POST",
+            url="http://gateway/echo", body=b"x",
+            headers={"authorization": authorization},
+        )
+        assert denied.status == 401, authorization
+
+
 def test_gateway_router_rejects_non_post():
     stack = build()
     response = stack.transport.request(src="client", channel="client", method="GET",

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgeqkd import harness
 from edgeqkd.clock import SimulatedClock
-from edgeqkd.errors import InvalidConfigError
+from edgeqkd.errors import InvalidConfigError, MalformedError
 from edgeqkd.harness import (
     RunMetrics,
     RunResult,
@@ -16,7 +18,15 @@ from edgeqkd.harness import (
     run_scenario,
     wiretap_assert,
 )
-from edgeqkd.transport import InprocTransport, Record, Router, Transcript, WireResponse, frame_head
+from edgeqkd.transport import (
+    INTER_DOMAIN_CHANNELS,
+    InprocTransport,
+    Record,
+    Router,
+    Transcript,
+    WireResponse,
+    frame_head,
+)
 
 from conftest import EXAMPLE_VARIANTS, example_doc
 
@@ -145,6 +155,57 @@ def test_report_from_stored_transcript_matches():
     assert again.qkd_keys_consumed == live.qkd_keys_consumed
     assert again.qkd_bits_consumed == live.qkd_bits_consumed
     assert again.contexts_created == live.contexts_created
+
+
+def pinned_metrics(requests_ok, keys, bits, errors):
+    return {"requests_total": 15, "requests_ok": requests_ok,
+            "key_exhausted_count": errors.get("key-exhausted", 0),
+            "qkd_keys_consumed": keys, "qkd_bits_consumed": bits, "contexts_created": 3,
+            "errors": errors, "latency": {"count": 15.0, "min": 0.0, "max": 0.0, "mean": 0.0}}
+
+
+@pytest.mark.parametrize("variant, metrics, frames_scanned", [
+    ("example", pinned_metrics(15, 4, 1024, {}), 42),
+    ("fresh-key-per-request", pinned_metrics(15, 15, 3840, {}), 42),
+    ("one-time-pad", pinned_metrics(4, 4, 8192, {"key-exhausted": 11}), 20),
+], ids=list(EXAMPLE_VARIANTS))
+def test_metrics_and_wiretap_docs_are_pinned(variant, metrics, frames_scanned):
+    # how a transcript is read must not move what is read from it, live or stored
+    result = run_scenario(ScenarioConfig.from_doc(example_doc(variant)))
+    reparsed = Transcript.parse_ndjson(result.transcript_ndjson())
+    assert result.metrics.to_doc() == metrics
+    assert compute_metrics(reparsed).to_doc() == metrics
+    assert result.wiretap.to_doc() == {"passed": True, "frames_scanned": frames_scanned,
+                                       "findings": []}
+
+
+def test_stored_latencies_pair_requests_and_replies_in_order():
+    records = [Record(ts, "client", "gateway", "client", head, b"")
+               for ts, head in [(0.0, b"REQ POST /a\n\n"), (1.0, b"REQ POST /b\n\n"),
+                                (1.5, b"RSP 200 POST /a\n\n"), (4.0, b"RSP 200 POST /b\n\n")]]
+    latency = compute_metrics(records).latency
+    assert latency == {"count": 2.0, "min": 1.5, "max": 3.0, "mean": 2.25}
+
+
+@pytest.mark.parametrize("head, replies", [
+    (b"RSP 200 POST /a\n\n", 1), (b"RSP 200", 1), (b"RSP 200 POST\n\n", 1),
+    (b"RSPQ 200 POST /a\n\n", 0), (b"RSP\t200 POST /a\n\n", 0), (b"REQ POST /a\n\n", 0),
+    (b"", 0), (b"RSP\n\n", None), (b"RSP", None), (b"RSP 2OO POST /a\n\n", None),
+])
+def test_a_reply_is_a_frame_whose_first_word_is_rsp(head, replies):
+    records = [Record(0.0, "gateway", "client", "client", head, b"")]
+    if replies is None:
+        with pytest.raises(MalformedError, match="record 0"):
+            compute_metrics(records)
+    else:
+        assert compute_metrics(records).requests_total == replies
+
+
+def test_a_malformed_key_container_names_its_record():
+    records = [Record(0.0, "kme-client", "gateway", "qkd",
+                      b"RSP 200 GET /api/v1/keys/sae-mec/enc_keys\n\n", b"{}")]
+    with pytest.raises(MalformedError, match="record 0 \\(qkd\\): key container"):
+        compute_metrics(records)
 
 
 def ndjson_of(transcript: Transcript) -> bytes:
@@ -375,3 +436,38 @@ def test_explicit_forbidden_plaintexts_config():
     doc["bindings"][0]["plaintext"] = True
     result = run_scenario(ScenarioConfig.from_doc(doc))
     assert not result.wiretap.passed
+
+
+# frame bytes over a small alphabet, so that needles drawn apart still occur
+WIRE_BYTES = st.lists(st.sampled_from(b"ab\n"), max_size=90).map(bytes)
+LARGE_BODY = b"ab" * 33_000  # longer than a default chunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["data", "mx2", "client", "qkd"]), WIRE_BYTES,
+                          WIRE_BYTES | st.just(LARGE_BODY)), max_size=6), st.data())
+def test_wiretap_equals_a_per_frame_search(frames, data):
+    records = [Record(0.0, "src", "dst", channel, head, body) for channel, head, body in frames]
+    stream = b"".join(head + body for _, head, body in frames)
+    # needles around each head/body seam and each frame end: the ends of
+    # chunks too, when a chunk is 1 or 7 bytes or follows LARGE_BODY
+    marks, offset = [0], 0
+    for _, head, body in frames:
+        marks += [offset + len(head), offset + len(head) + len(body)]
+        offset = marks[-1]
+    around = st.tuples(st.sampled_from(marks), st.integers(-80, 80), st.integers(1, 150)).map(
+        lambda t: stream[max(0, t[0] + t[1]):max(0, t[0] + t[1]) + t[2]])
+    needles = data.draw(st.lists(around | WIRE_BYTES | st.just(b""), max_size=5))
+    if needles:
+        needles += data.draw(st.lists(st.sampled_from(needles), max_size=2))  # duplicates
+    expected = [(index, r.channel, r.src, r.dst, repr(needle[:24]))
+                for index, r in enumerate(records) if r.channel in INTER_DOMAIN_CHANNELS
+                for needle in needles if needle and needle in r.head + r.body]
+    scanned = sum(r.channel in INTER_DOMAIN_CHANNELS for r in records)
+    for chunk_bytes in (1, 7, harness._WIRETAP_CHUNK):
+        with mock.patch.object(harness, "_WIRETAP_CHUNK", chunk_bytes):
+            report = wiretap_assert(records, needles)
+        assert [(f.record_index, f.channel, f.src, f.dst, f.needle_preview)
+                for f in report.findings] == expected
+        assert report.frames_scanned == scanned
+        assert report.passed == (not expected)
