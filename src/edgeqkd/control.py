@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+from urllib.parse import urlencode
 
 from .clock import Clock
 from .entropy import ByteStream, uuid4_from
@@ -407,14 +408,11 @@ class Mx2Client:
 
     def lookup(self, app_name: str, provider: str | None = None,
                version: str | None = None) -> list[dict]:
-        query = {"appName": app_name}
-        if provider is not None:
-            query["provider"] = provider
-        if version is not None:
-            query["version"] = version
+        fields = {"appName": app_name, "provider": provider, "version": version}
+        query = urlencode({name: value for name, value in fields.items() if value is not None})
         response = self._transport.request(
             src=self._src, channel="mx2", method="GET",
-            url=self._base + "/dev_app/v1/app_list", query=query,
+            url=f"{self._base}/dev_app/v1/app_list?{query}",
         )
         raise_for_status(response)
         doc = loads(response.body)

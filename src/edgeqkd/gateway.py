@@ -139,9 +139,7 @@ class Gateway:
 
     # -- request path ------------------------------------------------------------
 
-    def handle_request(self, path: str, body: bytes,
-                       headers: dict[str, str] | None = None) -> WireResponse:
-        headers = {k.lower(): v for k, v in (headers or {}).items()}
+    def handle_request(self, path: str, body: bytes, headers: dict[str, str]) -> WireResponse:
         try:
             if self._authorization is not None and not hmac.compare_digest(
                     headers.get("authorization", "").encode("utf-8", "surrogatepass"),

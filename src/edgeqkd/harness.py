@@ -43,6 +43,7 @@ from .transport import (
     InprocTransport,
     Record,
     Transcript,
+    parse_request_line,
 )
 from .wire import b64decode, decode_error, decode_key_container, dumps
 
@@ -218,10 +219,10 @@ class ScenarioConfig:
                 concurrency=int(w_doc.get("concurrency", 1)),
                 interval_sec=float(w_doc.get("interval_sec", 0.0)),
             )
-            # the path ends the URL of each request, which refuses these
-            if " " in item.path or not (item.path.isascii() and item.path.isprintable()):
-                raise InvalidConfigError(
-                    f"workload path {item.path!r} holds a space, an unprintable or a non-ASCII character")
+            try:  # the path is the target of each request
+                parse_request_line("POST " + item.path)
+            except MalformedError as exc:
+                raise InvalidConfigError(f"workload path {item.path!r} is no origin-form target") from exc
             if item.repeat < 1:
                 raise InvalidConfigError("workload repeat must be >= 1")
             if item.concurrency < 1:
@@ -276,6 +277,7 @@ class Stack:
     hosts: dict[str, MecHost]
     kme_master: Any
     servers: list[ComponentHttpServer] = field(default_factory=list)
+    client_headers: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def build(cls, config: ScenarioConfig) -> "Stack":
@@ -344,13 +346,17 @@ class Stack:
                 transport.register(name, router)
 
         return cls(config=config, clock=clock, transcript=transcript, transport=transport,
-                   gateway=gateway, lcmp=lcmp, hosts=hosts, kme_master=master, servers=servers)
+                   gateway=gateway, lcmp=lcmp, hosts=hosts, kme_master=master, servers=servers,
+                   client_headers={"authorization": f"Bearer {config.auth_token}"} if config.auth_token else {})
 
     def client_request(self, path: str, body: bytes,
                        headers: Mapping[str, str] | None = None):
+        """POST `body` to the gateway with the config's bearer token, if any;
+        a header in `headers` wins over the stack's own."""
         return self.transport.request(src="client", channel="client", method="POST",
                                       url="http://gateway" + path, body=body,
-                                      headers=headers)
+                                      headers=self.client_headers if headers is None
+                                      else {**self.client_headers, **headers})
 
     def stop(self) -> None:
         if isinstance(self.transport, HttpTransport):

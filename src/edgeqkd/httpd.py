@@ -1,34 +1,29 @@
 """Real HTTP bindings for component routers.
 
-Each component can be served by a ComponentHttpServer on a loopback port.
-The HttpTransport gives callers the in-process transport's request()
-surface: it registers each component name with the (host, port) serving it,
-and the `host` header carries the name (RFC 9110 §7.2). So both transports
-record the same transcript bytes, a socket failure included: it gives the
-502 `peer-unreachable` frame of an unknown name.
+A ComponentHttpServer serves one component's router on a loopback port, and
+an HttpTransport registers each component name with the (host, port) serving
+it; the `host` header carries the name (RFC 9110 §7.2). So both transports
+record the same transcript bytes, and a socket failure gives the 502
+`peer-unreachable` frame of an unknown name.
 
 Both ends are ours, so they speak a small subset of HTTP/1.1 (RFC 9112
 §2-§6): a request or status line, header fields, and a body framed by
-`content-length` only; no chunked coding, no `100-continue`. Either side
-writes a whole message, head and body, in one `sendall`, and reads it back
-through one reader. The reader caps the head at MAX_HEAD_BYTES and the body
-at MAX_BODY_BYTES. A request it cannot take (431 for a long head, 413 for a
-long body, 400 for a malformed one) is answered with `connection: close`,
-and the connection is closed.
+`content-length` only; no chunked coding, no `100-continue`. Each side writes
+a whole message in one `sendall` and reads it back through one reader, which
+reads exactly the grammar of `transport` (field names case-insensitively,
+RFC 9110 §5.1) and keeps the framing fields to itself. It caps the head at
+MAX_HEAD_BYTES and the body at MAX_BODY_BYTES. The server answers a request
+it cannot take (431 for a long head, 413 for a long body, 400 for one outside
+the grammar) with `connection: close`, and closes the connection.
 
-Connections persist (RFC 9112 §9.3): the transport keeps idle connections
-per peer name and reuses them, so serial requests to one peer share one TCP
-connection. Both ends set TCP_NODELAY, so a small reply never waits for a
-delayed ACK.
-
-Each server accepts in a blocking loop of its own and serves every accepted
-connection on a thread of its own. A single loop that serves connections
-one after the other would deadlock: handlers call other components over
-HTTP, and a host whose instance chains to another instance on the same
-host calls itself, so its loop would wait on its own reply. Clients pool
-their connections, so there is about one thread per caller and peer.
-`stop()` shuts the listening socket down, which fails the pending accept at
-once, then shuts down and joins every open connection, pooled ones too.
+Connections persist (RFC 9112 §9.3): the transport pools idle connections
+per peer name, so serial requests to one peer share one TCP connection, and
+both ends set TCP_NODELAY. Each server accepts in a loop of its own and
+serves each connection on a thread of its own: a handler may call other
+components over HTTP, its own host included, so one serving loop would wait
+on its own reply. `stop()` shuts the listening socket down, which fails the
+pending accept at once, then shuts down and joins every open connection,
+pooled ones too.
 """
 
 from __future__ import annotations
@@ -37,20 +32,17 @@ import socket
 import threading
 from http import HTTPStatus
 from typing import Mapping
-from urllib.parse import parse_qsl
 
 from .clock import Clock
-from .errors import PeerUnreachableError
-from .transport import Router, Transcript, Transport, WireRequest, WireResponse, _render_query
+from .errors import MalformedError, PeerUnreachableError
+from .transport import (Router, Transcript, Transport, WireRequest, WireResponse, header_lines,
+                        parse_request_line)
 from .wire import encode_error
 
 MAX_HEAD_BYTES = 16 * 1024
 MAX_BODY_BYTES = 16 * 1024 * 1024
 _RECV_BYTES = 64 * 1024
 
-# framing fields the server adds to a response; the transcript records the
-# response as the router returned it
-_HOP_HEADERS = {"content-length", "connection"}
 _REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
@@ -64,11 +56,8 @@ class _ProtocolError(Exception):
 
 def _message(first_line: str, headers: Mapping[str, str], body: bytes) -> bytes:
     """One whole message, head and body, ready for a single sendall."""
-    lines = [first_line, *(f"{name}: {value}" for name, value in headers.items())]
-    for line in lines:
-        if "\r" in line or "\n" in line:
-            raise ValueError(f"line break inside an HTTP head line: {line!r}")
-    lines.append(f"content-length: {len(body)}\r\n\r\n")
+    lines = [first_line, *(f"{name}: {value}" for name, value in headers.items()),
+             f"content-length: {len(body)}\r\n\r\n"]
     return "\r\n".join(lines).encode("latin-1") + body
 
 
@@ -84,11 +73,10 @@ class _Connection:
         self.sock = sock
         self.buffer = bytearray()
 
-    def read_message(self) -> tuple[str, dict[str, str], bytes] | None:
-        """Read one message: (first line, headers by lower-case name, body).
-
-        None means the peer closed the connection before any byte of it.
-        """
+    def read_message(self) -> tuple[str, dict[str, str], bytes, bool] | None:
+        """Read one message: (first line, headers less the framing fields,
+        body, whether the peer asks to close), or None if the peer closed the
+        connection before any byte of it."""
         buffer = self.buffer
         end = buffer.find(b"\r\n\r\n")
         while end < 0:
@@ -107,13 +95,14 @@ class _Connection:
         del buffer[:end + 4]
         headers = {}
         for line in lines:
-            name, colon, value = line.partition(":")
-            if not colon or not name.strip():
-                raise _ProtocolError(400, f"malformed header line {line[:64]!r}")
-            headers[name.strip().lower()] = value.strip()
-        if "transfer-encoding" in headers:
-            raise _ProtocolError(400, "only content-length framing is supported")
-        length = headers.get("content-length", "0")
+            name, _, value = line.partition(":")
+            headers[name.lower()] = value.strip(" \t")
+        repeated = len(headers) != len(lines)  # a second content-length, say
+        length = headers.pop("content-length", "0")
+        close = headers.pop("connection", None) == "close"
+        headers.pop("host", None)
+        if repeated or not header_lines(headers)[1]:  # `transfer-encoding` included: no chunked coding
+            raise _ProtocolError(400, "header field outside the grammar")
         if not (length.isascii() and length.isdigit()):
             raise _ProtocolError(400, f"bad content-length {length[:32]!r}")
         size = int(length)
@@ -126,9 +115,9 @@ class _Connection:
             buffer += chunk
         body = bytes(buffer[:size])
         del buffer[:size]
-        return first_line, headers, body
+        return first_line, headers, body, close
 
-    def exchange(self, message: bytes) -> tuple[str, dict[str, str], bytes] | None:
+    def exchange(self, message: bytes) -> tuple[str, dict[str, str], bytes, bool] | None:
         """Send a request and read its reply. None means the peer closed or
         reset the connection before any byte of the reply arrived."""
         try:
@@ -143,17 +132,18 @@ class _Connection:
         self.sock.close()
 
 
-def _parse_request(first_line: str, headers: dict[str, str],
-                   body: bytes) -> tuple[WireRequest, bool]:
+def _parse_request(first_line: str, headers: dict[str, str], body: bytes,
+                   close: bool) -> tuple[WireRequest, bool]:
     """The request a message carries, and whether the client asks to close."""
-    parts = first_line.split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+    line, _, version = first_line.rpartition(" ")
+    if not version.startswith("HTTP/1."):
         raise _ProtocolError(400, f"malformed request line {first_line[:64]!r}")
-    method, target, version = parts
-    path, _, query = target.partition("?")  # the origin form (RFC 9112 §3.2.1)
-    request = WireRequest(method=method, path=path, headers=headers, body=body,
-                          query=dict(parse_qsl(query)) if query else {})
-    return request, version != "HTTP/1.1" or headers.get("connection") == "close"
+    try:
+        path, query = parse_request_line(line)
+    except MalformedError as exc:
+        raise _ProtocolError(400, str(exc)) from exc
+    request = WireRequest(line.partition(" ")[0], path, headers, body, dict(query))
+    return request, close or version != "HTTP/1.1"
 
 
 class ComponentHttpServer:
@@ -205,8 +195,7 @@ class ComponentHttpServer:
                     return
                 response = self.router.dispatch(request)
                 headers = {**response.headers, "connection": "close"} if close else response.headers
-                body = b"" if response.status in (204, 304) else response.body
-                sock.sendall(_response(response.status, headers, body))
+                sock.sendall(_response(response.status, headers, response.body))
                 if close:
                     return
         except OSError:  # the peer went away, or stop() shut the connection down
@@ -248,10 +237,8 @@ class HttpTransport(Transport):
     def _connect(self, address: tuple[str, int]) -> _Connection:
         return _Connection(socket.create_connection(address, timeout=self._timeout))
 
-    def _send(self, name: str, peer: tuple[str, int], request: WireRequest) -> WireResponse:
-        target = request.path + _render_query(request.query)
-        message = _message(f"{request.method} {target} HTTP/1.1",
-                           {"host": name, **request.headers}, request.body)
+    def _send(self, name: str, peer: tuple[str, int], line: str, request: WireRequest) -> WireResponse:
+        message = _message(f"{line} HTTP/1.1", {"host": name, **request.headers}, request.body)
         with self._idle_lock:
             idle = self._idle.get(name)
             conn = idle.pop() if idle else None
@@ -268,27 +255,24 @@ class HttpTransport(Transport):
                 reply = conn.exchange(message)
                 if reply is None:
                     raise ConnectionResetError("the peer closed the connection without a reply")
-            status_line, headers, body = reply
+            status_line, headers, body, close = reply
             version, _, rest = status_line.partition(" ")
             status = rest.partition(" ")[0]
             if not (version.startswith("HTTP/1.") and status.isascii() and status.isdigit()
                     and len(status) == 3):
                 raise _ProtocolError(502, f"malformed status line {status_line[:64]!r}")
-        except (OSError, _ProtocolError) as exc:
+        except BaseException as exc:
             if conn is not None:
                 conn.close()
-            raise PeerUnreachableError(f"cannot reach {name}: {exc}") from exc
-        except BaseException:
-            if conn is not None:
-                conn.close()
+            if isinstance(exc, (OSError, _ProtocolError)):
+                raise PeerUnreachableError(f"cannot reach {name}: {exc}") from exc
             raise
-        if headers.get("connection") == "close":
+        if close:
             conn.close()
         else:
             with self._idle_lock:
                 self._idle.setdefault(name, []).append(conn)
-        resp_headers = {k: v for k, v in headers.items() if k not in _HOP_HEADERS}
-        return WireResponse(status=int(status), headers=resp_headers, body=body)
+        return WireResponse(status=int(status), headers=headers, body=body)
 
     def close(self) -> None:
         """Close every idle connection."""

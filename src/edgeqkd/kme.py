@@ -300,11 +300,10 @@ class KmeClient:
         self._base = base_url.rstrip("/")
         self._channel = channel
 
-    def _request(self, method: str, path: str, body: bytes = b"",
-                 query: dict | None = None):
+    def _request(self, method: str, path: str, body: bytes = b""):
         response = self._transport.request(
             src=self._src, channel=self._channel, method=method,
-            url=self._base + path, body=body, query=query,
+            url=self._base + path, body=body,
             headers={"content-type": "application/json"} if body else None,
         )
         return raise_for_status(response)
@@ -320,7 +319,7 @@ class KmeClient:
         return decode_key_container(response.body)
 
     def get_status(self, peer_sae: str, *, size: int | None = None) -> dict:
-        query = {"size": str(size)} if size is not None else None
-        response = self._request("GET", f"/api/v1/keys/{peer_sae}/status", query=query)
+        query = "" if size is None else f"?size={size}"
+        response = self._request("GET", f"/api/v1/keys/{peer_sae}/status{query}")
         return decode_status(response.body)
 

@@ -1,31 +1,44 @@
 """Message plumbing between components.
 
 Components expose a Router over (method, path) and are reachable through a
-Transport by URL, `http://<name>/...` on either transport. A Router splits
-each route once, when it is added, and lists it under its method and segment
-count. So a request walks only the routes of its own method and segment
-count, comparing only their literal segments; the first route added that matches wins, and a miss goes to the
-fallback or to 404. The in-process transport routes calls directly; the HTTP
-transport (see httpd) does the same over real sockets. Either way, every
-exchange is recorded in a Transcript as two frames (request and response),
-an unreachable peer's 502 included, so scenario metrics and the wiretap can
-be computed from the record alone, and both transports record the same bytes.
-A record holds its frame as two fields: `head`, the encoded first line and
-sorted headers ending in a blank line, and `body`, the very bytes object the
-exchange carried, so recording copies no body. `payload` joins the two when
-read; base64 appears only in the NDJSON form (`payload_b64`), which is
-encoded when read and decoded, and split at its first blank line, by
-`parse_ndjson`.
+Transport by URL, `http://<name>/...`, in process or over real sockets (see
+httpd). A Router lists each route under its method and segment count, so a
+request compares only the literal segments of routes that could match; the
+first route added that matches wins, and a miss goes to the fallback or to
+404. Either transport records every exchange in a Transcript as two frames,
+request and response, an unreachable peer's 502 included, so metrics and the
+wiretap are computed from the record alone, and both record the same bytes.
+A record keeps a frame's `head` (first line and sorted headers, ending in a
+blank line) apart from its `body`, the very bytes object the exchange carried.
+
+This module alone decides what a head may hold, on both transports:
+- a method is a token (RFC 9110 §5.6.2), sent and matched as written (§9.1);
+- a URL is `<scheme>://<name><target>`; an unknown scheme or name gets a
+  recorded 502 `peer-unreachable`;
+- a target is origin-form (RFC 9112 §3.2.1): a path of RFC 3986 §3.3 `pchar`
+  starting with `/`, then optionally `?` and a §3.4 query, each `%` starting
+  a `%XX` escape. It is recorded and sent as written; `parse_request_line`
+  derives the path and query fields (`parse_qsl`, blank values kept) on both
+  ends;
+- a header field is a lowercase token name, `: ` and a value of visible
+  ASCII, with SP or HTAB only between visible characters (RFC 9110 §5.5). The
+  framing fields `host`, `content-length`, `connection` and
+  `transfer-encoding` are the transport's own, so no head sets them;
+- a reply status has three digits, and a 204 or 304 reply has no body.
+A request outside the grammar raises MalformedError before any frame is
+recorded; a reply outside it is answered with a 500 by `Router.dispatch`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Iterator, Mapping
-from urllib.parse import parse_qsl, urlencode, urlsplit
+from urllib.parse import parse_qsl
 
 from .clock import Clock, SystemClock
 from .errors import EdgeQkdError, MalformedError, NotFoundError, PeerUnreachableError, error_for_code
@@ -34,6 +47,49 @@ from .wire import b64decode, b64encode, decode_error, dumps, encode_error
 # Channels crossing the client/edge trust boundary; everything a passive
 # observer between the two domains could see travels on one of these.
 INTER_DOMAIN_CHANNELS = frozenset({"mx2", "data"})
+
+_PCHAR = r"A-Za-z0-9\-._~!$&'()*+,;=:@"  # RFC 3986 §3.3, less its %XX escapes
+_URL = re.compile(r"([A-Za-z][A-Za-z0-9+.\-]*)://([A-Za-z0-9\-._~!$&'()*+,;=:]*)(.*)", re.S)
+_LINE = re.compile(rf"[!#$%&'*+\-.^_`|~0-9A-Za-z]++ (/(?:[{_PCHAR}/]|%[0-9A-Fa-f]{{2}})*+)"
+                   rf"(?:\?((?:[{_PCHAR}/?]|%[0-9A-Fa-f]{{2}})*+))?")
+_FIELDS = re.compile(r"(?:\n(?!(?:host|content-length|connection|transfer-encoding):)"
+                     r"[!#$%&'*+\-.^_`|~0-9a-z]++: (?:[!-~]++(?:[ \t]++[!-~]++)*+)?+)*+")
+
+
+@lru_cache(maxsize=256)
+def parse_request_line(line: str) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """The path and the query fields of `<method> <target>`, or MalformedError."""
+    match = _LINE.fullmatch(line)
+    if match is None:
+        raise MalformedError(f"request line {line!r} is outside the grammar")
+    path, query = match.groups()
+    return path, tuple(parse_qsl(query, keep_blank_values=True)) if query else ()
+
+
+@lru_cache(maxsize=256)
+def _split_url(method: str, url: str) -> tuple[str, str, str, str, tuple[tuple[str, str], ...]]:
+    """(scheme, name, `<method> <target>`, path, query fields), cached."""
+    match = _URL.fullmatch(url)
+    if match is None:
+        raise MalformedError(f"URL {url!r} is not <scheme>://<name><target>")
+    scheme, name, target = match.groups()
+    line = f"{method} {target}"
+    return (scheme.lower(), name, line, *parse_request_line(line))
+
+
+@lru_cache(maxsize=256)
+def _header_lines(items: tuple[tuple[str, str], ...]) -> tuple[str, bool]:
+    lines = ""
+    for name, value in sorted(items):
+        lines += f"\n{name}: {value}"
+    # a CR or LF inside a name or value adds a line to the count
+    return lines, lines.count("\n") == len(items) and _FIELDS.fullmatch(lines) is not None
+
+
+def header_lines(headers: Mapping[str, str]) -> tuple[str, bool]:
+    """A head's header lines, `\\n<name>: <value>` each sorted by name, and
+    whether all are in the grammar; cached, as heads repeat a few sets."""
+    return _header_lines(tuple(headers.items()))
 
 
 @dataclass
@@ -53,10 +109,8 @@ class WireResponse:
 
 
 def json_response(status: int, obj: Any, headers: dict[str, str] | None = None) -> WireResponse:
-    hdrs = {"content-type": "application/json"}
-    if headers:
-        hdrs.update(headers)
-    return WireResponse(status=status, headers=hdrs, body=dumps(obj))
+    return WireResponse(status=status, headers={"content-type": "application/json", **(headers or {})},
+                        body=dumps(obj))
 
 
 def error_response(exc: EdgeQkdError) -> WireResponse:
@@ -112,10 +166,8 @@ class Router:
         return None
 
     def dispatch(self, request: WireRequest) -> WireResponse:
-        """The route's reply, or an error reply. A reply whose header name or
-        value holds a CR, an LF or a non-ASCII character is a component bug,
-        answered with a 500 error body, so neither transport writes a forged
-        header line and both send the same head."""
+        """The route's reply, or an error reply: a reply head outside the
+        grammar is a component bug, answered with a 500 on both transports."""
         try:
             matched = self._match(request.method, request.path)
             if matched is not None:
@@ -125,13 +177,10 @@ class Router:
                 response = self._fallback(request)
             else:
                 raise NotFoundError(f"no route for {request.method} {request.path}")
-            head = ""
-            for name, value in response.headers.items():
-                head += name + value
-            if "\n" in head or "\r" in head:
-                raise EdgeQkdError("line break inside a reply header")
-            if not head.isascii():
-                raise EdgeQkdError("non-ASCII character inside a reply header")
+            if not header_lines(response.headers)[1]:
+                raise EdgeQkdError("reply header outside the field grammar")
+            if not 100 <= response.status <= 999 or response.body and response.status in (204, 304):
+                raise EdgeQkdError(f"reply status {response.status} outside the grammar")
         except EdgeQkdError as exc:
             return error_response(exc)
         except Exception as exc:  # component bug: surface as a 500 frame
@@ -143,20 +192,11 @@ class Router:
 # Transcript
 # ---------------------------------------------------------------------------
 
-def _render_query(query: Mapping[str, str]) -> str:
-    if not query:
-        return ""
-    return "?" + urlencode(sorted(query.items()))
-
-
 def frame_head(first_line: str, headers: Mapping[str, str]) -> bytes:
     """A frame's head: the first line and the sorted headers, ending in a
     blank line. A head holds no other blank line, since no header line is
-    empty and the transports refuse a CR or LF inside one."""
-    head = first_line
-    for name in sorted(headers):
-        head += f"\n{name}: {headers[name]}"
-    return (head + "\n\n").encode("utf-8")
+    empty and the grammar refuses a CR or LF inside one."""
+    return (first_line + header_lines(headers)[0] + "\n\n").encode()
 
 
 _RECORD_KEYS = ("ts", "from", "to", "channel", "payload_b64")
@@ -250,15 +290,7 @@ class Transcript:
 class Transport:
     """One exchange: record the request frame, send, and record the response
     frame. `register(name, peer)` is the one registry that resolves a URL's
-    authority; subclasses supply `_send`. An unknown scheme or name, and a
-    PeerUnreachableError from `_send`, give a recorded 502 response. A space,
-    an unprintable character (`str.isprintable`: every C0 control and DEL)
-    or a non-ASCII character in the method or URL, and a CR, an LF or a
-    non-ASCII character in a header, raise MalformedError, and nothing is
-    recorded: `urlsplit` would delete a tab silently, HTTP would split a
-    request line at a space, the transcript would not show an invisible
-    character as sent, and an HTTP head is latin-1 where the transcript is
-    UTF-8."""
+    name; subclasses supply `_send`, whose PeerUnreachableError gives a 502."""
 
     def __init__(self, transcript: Transcript | None = None, clock: Clock | None = None) -> None:
         self._clock = clock or SystemClock()
@@ -271,51 +303,35 @@ class Transport:
         self._peers[name] = peer
 
     def request(self, *, src: str, channel: str, method: str, url: str,
-                headers: Mapping[str, str] | None = None, body: bytes = b"",
-                query: Mapping[str, str] | None = None) -> WireResponse:
-        target = method + url
-        if " " in target or not (target.isascii() and target.isprintable()):
-            raise MalformedError("space, unprintable or non-ASCII character inside a request's method or URL")
-        fields = {}
-        head = ""
-        for name, value in (headers or {}).items():
-            name = name.lower()
-            fields[name] = value
-            head += name + value
-        if "\n" in head or "\r" in head:
-            raise MalformedError("line break inside a request header")
-        if not head.isascii():
-            raise MalformedError("non-ASCII character inside a request header")
-        parts = urlsplit(url)
-        query_map = dict(query) if query else {}
-        if parts.query:
-            query_map.update(parse_qsl(parts.query))
-        request = WireRequest(method=method.upper(), path=parts.path, headers=fields,
-                              body=body, query=query_map)
-        target = f"{request.method} {parts.path}{_render_query(query_map)}"
-        dst = parts.netloc
-        self.transcript.append(src, dst, channel, frame_head(f"REQ {target}", request.headers), body)
+                headers: Mapping[str, str] | None = None, body: bytes = b"") -> WireResponse:
+        scheme, dst, line, path, query = _split_url(method, url)
+        headers = dict(headers) if headers else {}
+        lines, valid = header_lines(headers)
+        if not valid:
+            raise MalformedError("request header outside the field grammar")
+        self.transcript.append(src, dst, channel, f"REQ {line}{lines}\n\n".encode(), body)
         try:
-            if parts.scheme != "http":
-                raise PeerUnreachableError(f"unsupported URL scheme {parts.scheme!r}")
+            if scheme != "http":
+                raise PeerUnreachableError(f"unsupported URL scheme {scheme!r}")
             peer = self._peers.get(dst)
             if peer is None:
                 raise PeerUnreachableError(f"unknown component {dst!r}")
-            response = self._send(dst, peer, request)
+            response = self._send(dst, peer, line, WireRequest(method, path, headers, body, dict(query)))
         except PeerUnreachableError as exc:
             response = error_response(exc)
         self.transcript.append(dst, src, channel,
-                               frame_head(f"RSP {response.status} {target}", response.headers), response.body)
+                               frame_head(f"RSP {response.status} {line}", response.headers), response.body)
         return response
 
-    def _send(self, name: str, peer: Any, request: WireRequest) -> WireResponse:
+    def _send(self, name: str, peer: Any, line: str, request: WireRequest) -> WireResponse:
+        """The peer's reply to `request`, whose request line is `line`."""
         raise NotImplementedError
 
 
 class InprocTransport(Transport):
     """Hands each request straight to the Router registered under its name."""
 
-    def _send(self, name: str, peer: Router, request: WireRequest) -> WireResponse:
+    def _send(self, name: str, peer: Router, line: str, request: WireRequest) -> WireResponse:
         return peer.dispatch(request)
 
 
@@ -324,10 +340,8 @@ def raise_for_status(response: WireResponse) -> WireResponse:
     if response.status < 400:
         return response
     code, message = decode_error(response.body)
-    retry_after = None
-    if "retry-after" in response.headers:
-        try:
-            retry_after = float(response.headers["retry-after"])
-        except ValueError:
-            retry_after = None
+    try:
+        retry_after = float(response.headers["retry-after"])
+    except (KeyError, ValueError):
+        retry_after = None
     raise error_for_code(code, message, retry_after=retry_after)

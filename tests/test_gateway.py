@@ -325,7 +325,8 @@ def test_concurrent_first_requests_single_flight():
 
 def test_auth_token_checked_when_configured():
     stack = build(auth_token="letmein")
-    denied = stack.client_request("/echo", b"x")
+    denied = stack.transport.request(src="client", channel="client", method="POST",
+                                     url="http://gateway/echo", body=b"x")
     assert denied.status == 401
     allowed = stack.transport.request(
         src="client", channel="client", method="POST",
@@ -333,6 +334,8 @@ def test_auth_token_checked_when_configured():
         headers={"authorization": "Bearer letmein"},
     )
     assert allowed.status == 200
+    # the stack's own client requests carry the configured token
+    assert stack.client_request("/echo", b"x").status == 200
 
 
 def test_auth_token_refuses_a_near_miss():

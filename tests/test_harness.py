@@ -87,6 +87,9 @@ def echo_doc(**overrides):
     lambda d: d["workload"][0].update(path="/echo\tx"),
     lambda d: d["workload"][0].update(path="/echo\u00a0x"),
     lambda d: d["workload"][0].update(path="/echo/\u20ac"),
+    lambda d: d["workload"][0].update(path="echo"),
+    lambda d: d["workload"][0].update(path="/echo#f"),
+    lambda d: d["workload"][0].update(path="/echo%zz"),
 ])
 def test_invalid_configs_rejected(mutate):
     doc = echo_doc()

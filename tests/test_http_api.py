@@ -6,6 +6,7 @@ import socket
 import sys
 import threading
 import time
+from urllib.parse import urlencode
 
 import pytest
 
@@ -121,7 +122,7 @@ def test_http_stack_serves_mx2_and_invoke_paths():
     try:
         response = raise_for_status(stack.transport.request(
             src="client", channel="mx2", method="GET",
-            url="http://lcmp/dev_app/v1/app_list", query={"appName": "fn-echo"},
+            url="http://lcmp/dev_app/v1/app_list?appName=fn-echo",
         ))
         assert loads(response.body)["app_list"][0]["app_name"] == "fn-echo"
 
@@ -162,17 +163,28 @@ def test_http_transport_unreachable_peer():
     assert _exchanges(transport) == [("REQ", None, None), ("RSP", 502, "peer-unreachable")]
 
 
-@pytest.mark.parametrize("url", ["http://kme-gone/api/v1/keys/s/status",
-                                 "inproc://kme-client/api/v1/keys/s/status"],
-                         ids=["unknown-name", "unknown-scheme"])
-def test_unreachable_peer_gives_the_same_frames_on_both_transports(url):
-    inproc, http = InprocTransport(clock=SimulatedClock()), HttpTransport(clock=SimulatedClock())
-    for transport in (inproc, http):
-        response = transport.request(src="x", channel="qkd", method="GET", url=url)
+@pytest.mark.parametrize("url, message", [
+    ("http://kme-gone/api/v1/keys/s/status", "unknown component 'kme-gone'"),
+    ("inproc://kme-client/api/v1/keys/s/status", "unsupported URL scheme 'inproc'"),
+    ("ftp://peer/n", "unsupported URL scheme 'ftp'"),
+], ids=["unknown-name", "unknown-scheme", "unknown-scheme-registered-name"])
+def test_unreachable_peer_gives_the_same_frames_on_both_transports(url, message):
+    router = Router()
+    router.add("GET", "/n", lambda request: json_response(200, {}))
+    transcripts = []
+    for kind in ("inproc", "http"):
+        transport, server = _serve(kind, router)
+        try:
+            response = transport.request(src="x", channel="qkd", method="GET", url=url)
+        finally:
+            if server is not None:
+                transport.close()
+                server.stop()
         assert response.status == 502
-    http.close()
-    assert _exchanges(http) == [("REQ", None, None), ("RSP", 502, "peer-unreachable")]
-    assert http.transcript.records() == inproc.transcript.records()
+        assert decode_error(response.body) == ("peer-unreachable", message)
+        assert _exchanges(transport) == [("REQ", None, None), ("RSP", 502, "peer-unreachable")]
+        transcripts.append(transport.transcript.records())
+    assert transcripts[0] == transcripts[1]
 
 
 def test_stopped_server_gives_a_peer_unreachable_frame():
@@ -227,7 +239,7 @@ def test_http_query_values_are_percent_encoded(value):
     transport.register(server.name, server.address)
     try:
         response = transport.request(src="t", channel="mx2", method="GET",
-                                     url="http://echo-query/q", query={"a": value})
+                                     url="http://echo-query/q?" + urlencode({"a": value}))
         assert loads(raise_for_status(response).body) == {"a": value}
     finally:
         transport.close()
@@ -313,13 +325,13 @@ def _assert_refused_before_any_frame(kind, request_args):
                                      {"x-a\r\nInjected": "1"}],
                          ids=["value-lf", "value-cr", "name-crlf"])
 def test_line_break_in_a_reply_head_is_a_500_on_both_transports(headers):
-    _assert_reply_head_is_a_500(headers, "line break inside a reply header")
+    _assert_reply_head_is_a_500(headers, "reply header outside the field grammar")
 
 
 @pytest.mark.parametrize("headers", [{"x-a": "\u20ac"}, {"x-a": "\u00e9"}, {"x-\u20ac": "1"}],
                          ids=["value-euro", "value-latin1", "name-euro"])
 def test_non_ascii_character_in_a_reply_head_is_a_500_on_both_transports(headers):
-    _assert_reply_head_is_a_500(headers, "non-ASCII character inside a reply header")
+    _assert_reply_head_is_a_500(headers, "reply header outside the field grammar")
 
 
 def _assert_reply_head_is_a_500(headers, message):
@@ -478,6 +490,15 @@ def test_http_transcript_matches_inproc(variant):
     assert runs["http"].metrics.requests_total == 15
 
 
+def test_auth_token_scenario_is_served_on_both_transports():
+    # Stack.client_request sends the configured bearer token with every request
+    runs = {mode: run_scenario(ScenarioConfig.from_doc({**example_doc("example"), "auth_token": "s3cret",
+                                                        "transport": mode}))
+            for mode in ("inproc", "http")}
+    assert runs["http"].transcript_ndjson() == runs["inproc"].transcript_ndjson()
+    assert (runs["http"].metrics.requests_ok, runs["http"].metrics.requests_total) == (15, 15)
+
+
 def test_same_host_chain_over_http():
     # the host's fn-echo instance calls its fn-upper instance on the same host
     doc = _http_doc([], clock="real")
@@ -507,10 +528,14 @@ def raw_server():
 
 
 def _raw(server, *writes):
-    """Send each write on its own over one raw socket; read until the server closes."""
+    """Send each write on its own over one raw socket, a None as a half close
+    (SHUT_WR); read until the server closes."""
     with socket.create_connection(server.address, timeout=5) as sock:
         for data in writes:
-            sock.sendall(data)
+            if data is None:
+                sock.shutdown(socket.SHUT_WR)
+            else:
+                sock.sendall(data)
             time.sleep(0.02)  # let the server see each write on its own
         received = b""
         while chunk := sock.recv(65536):
@@ -540,7 +565,7 @@ def test_handler_bug_is_a_500_and_keeps_the_connection(raw_server, connects):
         assert response.status == 500
         assert b"unhandled error" in response.body
         response = transport.request(src="t", channel="mx2", method="GET",
-                                     url="http://raw/q", query={"n": "2"})
+                                     url="http://raw/q?n=2")
         assert loads(raise_for_status(response).body) == {"n": "2"}
     finally:
         transport.close()
@@ -569,10 +594,25 @@ def test_pipelined_requests_are_answered_in_order(raw_server):
     (b"GET /q HTTP/1.1\r\nno colon here\r\n\r\n", 400),
     (b"POST /echo HTTP/1.1\r\ncontent-length: ten\r\n\r\n", 400),
     (b"POST /echo HTTP/1.1\r\ncontent-length: -1\r\n\r\n", 400),
+    # no blank line yet, and the connection stays open: the reader stops at the cap
+    (b"GET /q HTTP/1.1\r\nx-pad: " + b"a" * MAX_HEAD_BYTES, 431),
+    ((b"GET /q HTTP/1.1\r\nhost: x", None), 400),
+    # read as content-length 0, the chunk would be the next request (RFC 9112 §6.1)
+    (b"POST /echo HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n"
+     b"5\r\nGET /\r\n0\r\n\r\n", 400),
+    ((b"POST /echo HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc", None), 400),
+    (b"GET /q HTTP/1.1\r\nx-a :1\r\n\r\n", 400),
+    (b"GET /q HTTP/1.1\r\nx-a: \x85\r\n\r\n", 400),
+    (b"GET /q#f HTTP/1.1\r\n\r\n", 400),
+    (b"GET /q HTTP/2.0\r\n\r\n", 400),
+    (b"POST /echo HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 0\r\n\r\nabc", 400),
 ], ids=["long-head", "long-body", "two-part-line", "four-part-line", "no-colon",
-        "word-length", "negative-length"])
+        "word-length", "negative-length", "long-head-unended", "closed-inside-head",
+        "chunked", "closed-inside-body", "space-before-colon", "non-ascii-value", "fragment",
+        "version-2", "repeated-field"])
 def test_hostile_request_is_answered_and_closed(raw_server, head, status):
-    [(got, headers, body)] = _responses(_raw(raw_server, head))  # _raw reads to EOF
+    writes = head if isinstance(head, tuple) else (head,)
+    [(got, headers, body)] = _responses(_raw(raw_server, *writes))  # _raw reads to EOF
     assert got == status
     assert headers["connection"] == "close"
     assert loads(body)["code"] == "malformed"
