@@ -213,8 +213,7 @@ def _request_nonce(counter: int) -> bytes:
 
 
 def response_nonce(request_nonce: bytes) -> bytes:
-    if len(request_nonce) != NONCE_BYTES:
-        raise MalformedError("request nonce must be 96 bits")
+    """The reply's nonce for a request nonce that `decrypt` has accepted."""
     return bytes([_DIR_RESPONSE]) + request_nonce[1:]
 
 
@@ -250,8 +249,6 @@ def _open(suite: CipherSuite, key: Key, nonce: bytes, ciphertext: bytes,
             return key.aead.decrypt(nonce, ciphertext, aad)
         except InvalidTag as exc:
             raise AuthFailureError("envelope failed authentication") from exc
-        except ValueError as exc:
-            raise MalformedError(f"undecryptable envelope: {exc}") from exc
     return _xor(ciphertext, _pad_slice(key.bits, len(ciphertext), response))
 
 
@@ -287,14 +284,17 @@ def suite_for(envelope: EncryptedEnvelope, key_bits: bytes) -> CipherSuite:
 def decrypt(envelope: EncryptedEnvelope, key: Key, *, response: bool = False) -> bytes:
     """Open an envelope under the key it names.
 
-    `response` selects the reply direction (nonce space and pad half).
+    `response` selects the reply direction (nonce space and pad half). An
+    AEAD nonce is 12 bytes: the direction, then the use counter.
     """
     suite = suite_for(envelope, key.bits)
-    direction = _DIR_RESPONSE if response else _DIR_REQUEST
-    if suite.mode == MODE_AEAD and envelope.nonce[:1] != bytes([direction]):
-        # a reply sent back as a request would get its answer sealed under
-        # the reply's own nonce: AES-GCM nonce reuse
-        raise AuthFailureError("envelope nonce is from the other direction")
+    if suite.mode == MODE_AEAD:
+        if len(envelope.nonce) != NONCE_BYTES:
+            raise MalformedError("envelope nonce must be 96 bits")
+        if envelope.nonce[0] != (_DIR_RESPONSE if response else _DIR_REQUEST):
+            # a reply sent back as a request would get its answer sealed under
+            # the reply's own nonce: AES-GCM nonce reuse
+            raise AuthFailureError("envelope nonce is from the other direction")
     aad = _aad(envelope.key_id, envelope.suite_id, envelope.sender_sae)
     return _open(suite, key, envelope.nonce, envelope.ciphertext, aad, response=response)
 

@@ -43,6 +43,7 @@ from .transport import (
     InprocTransport,
     Record,
     Transcript,
+    header_lines,
     parse_request_line,
 )
 from .wire import b64decode, decode_error, decode_key_container, dumps
@@ -253,12 +254,14 @@ class ScenarioConfig:
             auto_forbid_bodies=bool(a_doc.get("auto_forbid_bodies", True)),
         )
 
-        token = doc.get("auth_token")
+        token = str(doc["auth_token"]) if doc.get("auth_token") else None
+        if token is not None and not header_lines({"authorization": f"Bearer {token}"})[1]:
+            raise InvalidConfigError("auth_token does not fit an authorization header")
         return cls(
             qkd=qkd, catalog=catalog_entries, hosts=hosts, bindings=bindings,
             policy=policy, workload=workload, clock_mode=clock_mode,
             transport_mode=transport_mode, offered_suites=offered,
-            assertions=assertions, auth_token=str(token) if token else None,
+            assertions=assertions, auth_token=token,
         )
 
 
@@ -302,7 +305,7 @@ class Stack:
             hosts[host_seed.host_id] = MecHost(
                 host_seed.host_id, host_seed.total_slots,
                 base_url=f"http://{host_seed.host_id}", sae_id=SLAVE_SAE,
-                kme=host_kme, key_store=KeyStore(clock, config.policy.max_age_sec),
+                kme=host_kme, key_store=KeyStore(clock, config.policy),
                 transport=transport, master_sae=MASTER_SAE,
                 handlers=BUILTIN_HANDLERS,
             )

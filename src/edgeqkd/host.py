@@ -2,22 +2,18 @@
 
 Every request reaching an instance is an encrypted envelope. The host
 claims the key it names under one lock: a lookup in its key table, on a
-miss a consume-once fetch from its key-management entity, the check that the
-key fits the named suite, and, for a one-time pad, its removal from the
-table. Only then does it decrypt, run the registered handler, optionally
+miss a consume-once fetch from its key-management entity, and the check
+that the key fits the named suite. Only then does it decrypt, record the
+use in the table (see `keystore`), run the registered handler, optionally
 forward the intermediate result one hop to a chained instance inside the
-same perimeter, and seal the result under the same key bytes. Nothing leaves
-the host toward the client domain in the clear, handler failures included.
-So a pad serves one request: a second copy of a pad envelope, concurrent or
-later, finds no key and gets 404 `unknown-key-id` before any handler runs.
-The first envelope that authenticates under a key binds it to its context;
-the table (see `keystore`) keeps each context's current and previous key,
-and an envelope naming a key bound to another context gets 404
-`unknown-key-id` too, leaving the key to its own context. The context is
-the one the `x-app-context-id` header names, and nothing authenticates that
-header: a copy of a key's first envelope that arrives first under another
-active context's header binds the key to that context. The gateway then
-gets 404 and rolls its key over once (see `gateway`).
+same perimeter, and seal the result under the same key bytes. Nothing
+leaves the host toward the client domain in the clear, handler failures
+included. An envelope whose use has arrived, or whose key is gone or bound
+to another context, gets 404 `unknown-key-id` before any handler runs. The
+context is the one the `x-app-context-id` header names, and nothing
+authenticates that header: a copy of a key's first envelope that arrives
+first under another active context's header binds the key to that context.
+The gateway then gets 404 and rolls its key over once (see `gateway`).
 
 The plaintext entry point (`invoke_plain`, for a route configured without
 encryption and for the chained hop) runs a handler only for a context that
@@ -166,17 +162,18 @@ class MecHost:
 
     # -- key handling ------------------------------------------------------------
 
-    def _claim_key(self, envelope: channel.EncryptedEnvelope) -> KeyStoreEntry:
+    def _claim_key(self, instance: MecAppInstance, context_id: str | None,
+                   envelope: channel.EncryptedEnvelope) -> KeyStoreEntry:
         """The key entry an envelope names, its bytes checked against its suite.
 
-        One lock covers lookup, fetch and claim, so concurrent envelopes under
-        an unseen key share one consume-once fetch, and a pad is taken from
-        the table by exactly one of them. A miss (the table's `get` gives
-        None: an unseen, expired or evicted key) fetches the key from the KME
-        once. A pad is claimed only once its length check has passed, so a
-        forged suite on a seen key burns nothing.
+        One lock covers lookup, fetch and, for a pad, the record of its one
+        use, so concurrent envelopes under an unseen key share one
+        consume-once fetch, and a pad serves exactly one of them. The use is
+        recorded only once the length check has passed, so a forged suite on
+        a seen key burns nothing.
         """
         with self._key_lock:
+            self._require_context(instance, context_id)
             entry = self._store.get(envelope.key_id)
             if entry is None:
                 try:
@@ -188,28 +185,8 @@ class MecHost:
                 self.dec_fetches += 1
                 entry = self._store.put(envelope.key_id, key_bits)
             if channel.suite_for(envelope, entry.key.bits).mode == channel.MODE_OTP:
-                self._store.discard(envelope.key_id)
+                self._store.use(envelope.key_id, entry, 0, context_id)
         return entry
-
-    def _bind_key(self, instance: MecAppInstance, key_id: str, entry: KeyStoreEntry,
-                  context_id: str) -> None:
-        """Bind a key that has just authenticated to the request's context, or
-        refuse the request if the key is bound to another context.
-
-        Called only once the envelope authenticates, so a forgery binds
-        nothing. Check and bind are one step under the key lock, so of two
-        first uses under different contexts one binds the key and the other
-        is refused.
-        """
-        with self._key_lock:
-            if entry.context_id is None:
-                if context_id in instance.active_contexts:
-                    self._store.bind(key_id, context_id)
-                else:  # the context was detached meanwhile
-                    self._store.discard(key_id)
-            if entry.context_id is not None and entry.context_id != context_id:
-                # the key serves the context it is bound to, and no other
-                raise UnknownKeyIdError(f"key {key_id} is bound to another context")
 
     # -- invocation ----------------------------------------------------------------
 
@@ -220,11 +197,17 @@ class MecHost:
 
     def invoke(self, instance: MecAppInstance, context_id: str | None,
                envelope: channel.EncryptedEnvelope) -> WireResponse:
-        self._require_context(instance, context_id)
-        entry = self._claim_key(envelope)
+        entry = self._claim_key(instance, context_id, envelope)
         plaintext = channel.decrypt(envelope, entry.key)
-        if entry.context_id != context_id:
-            self._bind_key(instance, envelope.key_id, entry, context_id)
+        if entry.key.aead is not None:
+            # authenticated, so the nonce's counter is the use; of two
+            # copies in flight, one records it and the other is refused
+            with self._key_lock:
+                if context_id not in instance.active_contexts:  # detached meanwhile
+                    self._store.discard(envelope.key_id, entry)
+                    self._require_context(instance, context_id)
+                self._store.use(envelope.key_id, entry,
+                                int.from_bytes(envelope.nonce[1:], "big"), context_id)
         headers = {"content-type": "application/octet-stream", "x-envelope": "1"}
         try:
             status, result = 200, self._run(instance, plaintext, context_id)

@@ -19,6 +19,7 @@ from edgeqkd.control import (
     Placement,
     place_app,
 )
+from edgeqkd.channel import RefreshPolicy
 from edgeqkd.entropy import make_stream
 from edgeqkd.errors import (
     CapacityExhaustedError,
@@ -184,7 +185,7 @@ def build_control_plane(catalog_entries, host_slots, clock=None):
         host = MecHost(host_id, slots, base_url=f"http://{host_id}", sae_id="sae-mec",
                        kme=KmeClient(transport, src=host_id, base_url="http://kme-mec",
                                      channel="qkd"),
-                       key_store=KeyStore(clock, 3600), transport=transport)
+                       key_store=KeyStore(clock, RefreshPolicy(1, 3600)), transport=transport)
         transport.register(host_id, host.router())
         hosts[host_id] = host
     catalog = Catalog(catalog_entries)

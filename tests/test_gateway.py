@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import math
+import sys
 import threading
 import uuid
 from dataclasses import replace
 
+import pytest
+
 from edgeqkd import channel
 from edgeqkd.channel import EncryptedEnvelope
-from edgeqkd.harness import ScenarioConfig, Stack
+from edgeqkd.errors import AlreadyConsumedError
+from edgeqkd.harness import ScenarioConfig, Stack, run_scenario
 from edgeqkd.host import BUILTIN_HANDLERS
-from edgeqkd.transport import Router, WireResponse
+from edgeqkd.transport import Router, WireResponse, error_response
 from edgeqkd.wire import loads
 
 from conftest import holds, iter_frames
@@ -189,27 +194,29 @@ def test_client_store_holds_one_key_per_route():
 
 
 def test_deleted_context_leaves_no_key_on_the_host():
-    stack = build(policy={"max_uses": 1, "max_age_sec": 3600})
+    stack = build(policy={"max_uses": 2, "max_age_sec": 3600})
     served = []
     for path in ("/echo", "/echo", "/echo", "/upper"):
         assert stack.client_request(path, b"text").status == 200
         served.append(stack.gateway.binding_for(path).security.current_key_id)
     binding = stack.gateway.binding_for("/echo")
-    assert host_keys(stack) == 3  # the current and previous /echo key, one /upper key
+    # the first /echo key left on its second use; the second /echo key and
+    # the /upper key each have a use still due
+    assert host_keys(stack) == 2
     stack.lcmp.delete_context(binding.context_id)
     assert host_keys(stack) == 1
     assert holds(stack.hosts["edge-a"]._store, served[-1])  # the /upper key stays
 
 
 def test_rekey_soak_keeps_key_state_flat():
-    # with max_uses=1 every request uses a fresh key: the host keeps the
-    # current and previous one, the gateway the current one
+    # with max_uses=1 every request uses a fresh key: the host drops it on
+    # that one use, the gateway keeps the current one
     stack = build(policy={"max_uses": 1, "max_age_sec": 3600},
                   qkd={"seed": SEED_HEX, "rate_bits_per_sec": 0, "capacity_bits": 1 << 20})
     for i in range(2000):
         assert stack.client_request("/echo", b"m%d" % i).status == 200
     assert keys_dispensed(stack) == 2000
-    assert host_keys(stack) <= 2
+    assert host_keys(stack) == 0
     assert len(route_keys(stack)) == 1
 
 
@@ -256,6 +263,66 @@ def test_key_bound_to_another_context_is_rolled_over_once():
     assert ctx.current_key_id != copy.key_id
     assert keys_dispensed(stack) == dispensed + 1  # one rollover, no rebuild
     assert contexts_created(stack) == 1
+
+
+def test_key_the_host_never_obtains_is_a_404_after_one_retry():
+    # the host's KME refuses every dec_keys: both attempts get 404
+    stack = build()
+    stub = Router()
+    stub.add("POST", "/api/v1/keys/{peer}/dec_keys",
+             lambda request, peer: error_response(AlreadyConsumedError("refused")))
+    stack.transport._peers["kme-mec"] = stub  # the stub answers as the host's KME
+    response = stack.client_request("/echo", b"never served")
+    assert response.status == 404
+    assert loads(response.body)["code"] == "unknown-key-id"
+    assert keys_dispensed(stack) == 2  # the retry rolled the key over once
+
+
+@pytest.mark.parametrize("mode", ["inproc", "http"])
+def test_replayed_invoke_is_refused_on_both_transports(mode):
+    stack = build(transport=mode)
+    try:
+        handlers = stack.hosts["edge-a"]._handlers  # looked up when the route's app deploys
+        calls = []
+        handlers["fn-echo"] = lambda body: calls.append(body) or body
+        assert stack.client_request("/echo", b"served once").status == 200
+        captured = next(frame for record, frame in iter_frames(stack.transcript.records())
+                        if record["channel"] == "data" and frame.kind == "REQ")
+        replayed = stack.transport.request(
+            src="gateway", channel="data", method="POST",
+            url=stack.gateway.binding_for("/echo").endpoint_uri + "/invoke",
+            body=captured.body, headers=captured.headers)
+    finally:
+        stack.stop()
+    assert replayed.status == 404
+    assert loads(replayed.body)["code"] == "unknown-key-id"
+    assert "x-envelope" not in replayed.headers
+    assert calls == [b"served once"]
+
+
+@pytest.mark.parametrize("suite, max_uses", [(1, 1), (1, 3), (2, 1), (2, 3)])
+def test_lanes_in_flight_are_served_under_forced_thread_switches(suite, max_uses):
+    # the gateway encrypts under the route's lock and sends outside it, so
+    # envelopes of several keys reach the host out of order
+    lanes, repeat = 4, 60
+    doc = base_doc(
+        clock="real", offered_suites=[suite],
+        policy={"max_uses": max_uses, "max_age_sec": 3600},
+        qkd={"seed": SEED_HEX, "rate_bits_per_sec": 0, "capacity_bits": 1 << 20},
+        workload=[{"path": path, "body": "in flight", "repeat": repeat, "concurrency": lanes}
+                  for path in ("/echo", "/upper")])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = run_scenario(ScenarioConfig.from_doc(doc))
+    finally:
+        sys.setswitchinterval(interval)
+    host_404s = sum(record["channel"] == "data" and frame.status == 404
+                    for record, frame in iter_frames(result.records))
+    assert host_404s == 0
+    assert result.metrics.requests_ok == result.metrics.requests_total == 2 * lanes * repeat
+    uses = 1 if suite == 2 else max_uses  # a pad serves one request
+    assert result.metrics.qkd_keys_consumed == 2 * math.ceil(lanes * repeat / uses)  # C5
 
 
 def test_delete_behind_gateways_back_triggers_reestablishment():

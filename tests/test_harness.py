@@ -90,6 +90,14 @@ def echo_doc(**overrides):
     lambda d: d["workload"][0].update(path="echo"),
     lambda d: d["workload"][0].update(path="/echo#f"),
     lambda d: d["workload"][0].update(path="/echo%zz"),
+    # a token no authorization header can carry would stop the run at its first request
+    lambda d: d.update(auth_token="s3cret "),
+    lambda d: d.update(auth_token="s3\x01cret"),
+    lambda d: d.update(auth_token="s3cr\u00e9t"),
+    # the host counts a key's uses up to max_uses and ages it out by max_age_sec
+    lambda d: d.update(policy={"max_uses": 0, "max_age_sec": 60}),
+    lambda d: d.update(policy={"max_uses": 1, "max_age_sec": 0}),
+    lambda d: d.update(policy={"max_uses": 1, "max_age_sec": -1}),
 ])
 def test_invalid_configs_rejected(mutate):
     doc = echo_doc()

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import uuid
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,7 @@ SEED = b"\x33" * 32
 CTX = "11111111-2222-4333-8444-555555555555"
 
 
-def build_host(clock=None, slots=4, max_age=3600.0, handlers=None):
+def build_host(clock=None, slots=4, max_age=3600.0, handlers=None, max_uses=10):
     clock = clock or SimulatedClock()
     transport = InprocTransport(clock=clock)
     master, slave = new_kme_pair(SEED, 0, 1 << 20, clock=clock)
@@ -37,7 +38,7 @@ def build_host(clock=None, slots=4, max_age=3600.0, handlers=None):
     host = MecHost("edge-a", slots, base_url="http://edge-a", sae_id="sae-mec",
                    kme=KmeClient(transport, src="edge-a", base_url="http://kme-mec",
                                  channel="qkd"),
-                   key_store=KeyStore(clock, max_age), transport=transport,
+                   key_store=KeyStore(clock, RefreshPolicy(max_uses, max_age)), transport=transport,
                    handlers=handlers)
     transport.register("edge-a", host.router())
     return host, master, transport, clock
@@ -370,25 +371,39 @@ def _envelope_under_evicted_key(host, transport, inst, master, clock, ctx, kme):
     return channel.encrypt(ctx, b"second", kme, clock=clock)
 
 
-def _envelope_under_rolled_out_key(host, transport, inst, master, clock, ctx, kme):
-    # keys K1, K2 and K3 served on one context: the host keeps K2 and K3 only,
-    # and the KME released K1 to the host long ago
-    first, later = (channel.encrypt(ctx, b"K1 %d" % i, kme, clock=clock) for i in range(2))
-    assert invoke(host, transport, inst, first).status == 200
-    for _ in range(2):
-        ctx.uses = ctx.policy.max_uses  # roll over on the next encryption
-        envelope = channel.encrypt(ctx, b"next key", kme, clock=clock)
+def _envelope_already_served(host, transport, inst, master, clock, ctx, kme):
+    # its use has arrived: the key stays for its other uses, and refuses this one
+    envelope = channel.encrypt(ctx, b"once", kme, clock=clock)
+    assert invoke(host, transport, inst, envelope).status == 200
+    assert holds(host._store, envelope.key_id)
+    return envelope
+
+
+def _envelope_under_a_spent_key(host, transport, inst, master, clock, ctx, kme):
+    # all ten uses of the key have arrived, so it left the host, and the KME
+    # released it long ago
+    envelopes = [channel.encrypt(ctx, b"use %d" % i, kme, clock=clock) for i in range(10)]
+    for envelope in reversed(envelopes):
         assert invoke(host, transport, inst, envelope).status == 200
-    assert not holds(host._store, first.key_id)
-    return later
+    assert not holds(host._store, envelopes[0].key_id)
+    return envelopes[-1]
+
+
+def _envelope_beyond_max_uses(host, transport, inst, master, clock, ctx, kme):
+    # authentic, from a client whose policy allows more uses than the host's
+    ctx.policy = RefreshPolicy(11, 3600)
+    ctx.uses = 10
+    return channel.encrypt(ctx, b"use 10", kme, clock=clock)
 
 
 @pytest.mark.parametrize("make_envelope", [
     _envelope_under_other_context_key,
     _envelope_under_unissued_key,
     _envelope_under_evicted_key,
-    _envelope_under_rolled_out_key,
-], ids=["other-context", "no-source", "evicted", "rolled-out"])
+    _envelope_already_served,
+    _envelope_under_a_spent_key,
+    _envelope_beyond_max_uses,
+], ids=["other-context", "no-source", "evicted", "replayed", "spent", "beyond-max-uses"])
 def test_unobtainable_key_is_unknown_and_runs_no_handler(make_envelope):
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(max_age=5.0, handlers={"fn-rec": handler})
@@ -402,6 +417,74 @@ def test_unobtainable_key_is_unknown_and_runs_no_handler(make_envelope):
     assert loads(response.body)["code"] == "unknown-key-id"
     assert "x-envelope" not in response.headers
     assert len(calls) == handled
+
+
+def test_keys_in_flight_survive_a_rollover():
+    # max_uses=2: the first uses of three keys arrive, then the second use of
+    # the first key, which still serves; the host fetches no key twice
+    handler, calls = recording_handler()
+    host, master, transport, clock = build_host(max_uses=2, handlers={"fn-rec": handler})
+    inst = host.deploy(app("fn-rec"), "fn-rec", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme = client_side(master, clock, policy=RefreshPolicy(2, 3600))
+    first_key = [channel.encrypt(ctx, b"K1 use %d" % i, kme, clock=clock) for i in range(2)]
+    firsts = [first_key[0]]
+    for n in (2, 3):
+        firsts.append(channel.encrypt(ctx, b"K%d use 0" % n, kme, clock=clock))
+        ctx.uses = ctx.policy.max_uses  # roll over on the next encryption
+    assert len({e.key_id for e in firsts}) == 3
+    for envelope in firsts + first_key[1:]:
+        response = invoke(host, transport, inst, envelope)
+        assert response.status == 200, response.body
+    assert host.dec_fetches == 3
+    assert len(calls) == 4
+    assert not holds(host._store, first_key[0].key_id)  # its last use has arrived
+    assert holds(host._store, firsts[2].key_id)
+
+
+def test_a_policy_that_rotates_by_age_only_serves():
+    # max_uses far beyond any run: the host's record of a key's uses stays small
+    policy = RefreshPolicy(2**36, 3600)
+    host, master, transport, clock = build_host(max_uses=policy.max_uses)
+    inst = host.deploy(app(), "fn-echo", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme = client_side(master, clock, policy=policy)
+    envelopes = [channel.encrypt(ctx, b"use %d" % i, kme, clock=clock) for i in range(3)]
+    for envelope in envelopes:
+        assert invoke(host, transport, inst, envelope).status == 200
+    assert invoke(host, transport, inst, envelopes[1]).status == 404  # a replay
+    entry = host._store.get(envelopes[0].key_id)
+    assert (entry.floor, entry.ahead) == (3, set())
+
+
+def _sealed_with_nonce(nonce):
+    def make(genuine, key):
+        aad = channel._aad(genuine.key_id, 1, genuine.sender_sae)
+        return EncryptedEnvelope(genuine.key_id, 1, nonce,
+                                 key.aead.encrypt(nonce, b"genuine", aad), genuine.sender_sae)
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    # sealed under the key: without the length check these would authenticate
+    _sealed_with_nonce(b"\x00" * 8),
+    _sealed_with_nonce(b"\x00" * 13),
+    lambda genuine, key: replace(genuine, nonce=b""),
+    lambda genuine, key: replace(genuine, suite_id=7),
+], ids=["8-byte-nonce", "13-byte-nonce", "no-nonce", "unknown-suite"])
+def test_malformed_envelope_runs_no_handler_and_records_no_use(make):
+    handler, calls = recording_handler()
+    host, master, transport, clock = build_host(handlers={"fn-rec": handler})
+    inst = host.deploy(app("fn-rec"), "fn-rec", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme = client_side(master, clock)
+    genuine = channel.encrypt(ctx, b"genuine", kme, clock=clock)
+    response = invoke(host, transport, inst, make(genuine, ctx.key))
+    assert (response.status, loads(response.body)["code"]) == (400, "malformed")
+    assert calls == []
+    entry = host._store.get(genuine.key_id)
+    assert (entry.floor, entry.ahead) == (0, set())  # fetched, no use recorded
+    assert invoke(host, transport, inst, genuine).status == 200
 
 
 OTHER_CTX = "99999999-2222-4333-8444-555555555555"
@@ -477,6 +560,28 @@ def test_racing_first_uses_under_two_contexts_serve_one(monkeypatch):
     assert statuses[bound] == 200  # the one served binds the key
     assert sorted(statuses.values()) == [200, 404]
     assert calls == [b"first request"]
+
+
+def test_context_detached_while_the_envelope_opens_is_refused(monkeypatch):
+    handler, calls = recording_handler()
+    host, master, transport, clock = build_host(handlers={"fn-rec": handler})
+    inst = host.deploy(app("fn-rec"), "fn-rec", None)
+    host.attach_context(inst.uri, CTX)
+    ctx, kme = client_side(master, clock)
+    envelope = channel.encrypt(ctx, b"late", kme, clock=clock)
+    real_decrypt = channel.decrypt
+
+    def decrypt_then_detach(*args, **kwargs):
+        plaintext = real_decrypt(*args, **kwargs)
+        host.detach_context(inst.uri, CTX)
+        return plaintext
+
+    monkeypatch.setattr(channel, "decrypt", decrypt_then_detach)
+    response = invoke(host, transport, inst, envelope)
+    assert response.status == 410
+    assert calls == []
+    assert host._store.get(envelope.key_id) is None  # the key it fetched left with it
+    assert len(host._store) == 0
 
 
 def test_malformed_envelope_consumes_no_key():

@@ -1,8 +1,11 @@
-"""Stateful test of the host's key table under requests, replays, envelopes
-sent under another context's header, rollovers and context detaches: it holds
-each attached context's current and previous key and nothing else."""
+"""Stateful test of the host's key table under requests delivered at once or
+held back and delivered out of order, replays, envelopes sent under another
+context's header, rollovers and context detaches: it holds exactly the keys
+of attached contexts with uses still due, and no envelope is served twice."""
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -13,7 +16,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from edgeqkd import channel
+from edgeqkd import channel, keystore
 from edgeqkd.channel import EncryptedEnvelope, RefreshPolicy, establish_context
 from edgeqkd.clock import SimulatedClock
 from edgeqkd.control import AppInfo
@@ -26,6 +29,7 @@ from conftest import holds
 
 SEED = b"\x5e" * 32
 CONTEXTS = ("ctx-aead", "ctx-pad")
+OPEN_KEYS = 2  # the table's cap on a context's open keys, lowered so that runs reach it
 
 
 class RecordingKmeClient:
@@ -44,6 +48,8 @@ class RecordingKmeClient:
 class HostKeyTable(RuleBasedStateMachine):
     @initialize(max_uses=st.integers(1, 4))
     def build(self, max_uses):
+        self.cap = mock.patch.object(keystore, "MAX_OPEN_KEYS", OPEN_KEYS)
+        self.cap.start()
         self.clock = SimulatedClock()
         self.transport = InprocTransport(clock=self.clock)
         master, slave = new_kme_pair(SEED, 0, 1 << 20, clock=self.clock)
@@ -54,8 +60,9 @@ class HostKeyTable(RuleBasedStateMachine):
             self.calls += 1
             return body
 
+        policy = RefreshPolicy(max_uses, 3600)
         self.host = MecHost("edge-a", 1, base_url="http://edge-a", sae_id="sae-mec",
-                            kme=self.host_kme, key_store=KeyStore(self.clock, 3600),
+                            kme=self.host_kme, key_store=KeyStore(self.clock, policy),
                             transport=self.transport, handlers={"fn-rec": handler})
         self.transport.register("edge-a", self.host.router())
         app = AppInfo(app_name="fn-rec", provider="demo", version="1.0", required_slots=1)
@@ -65,13 +72,17 @@ class HostKeyTable(RuleBasedStateMachine):
         for context_id, suite in zip(CONTEXTS, (1, 2)):
             self.host.attach_context(self.inst.uri, context_id)
             self.contexts[context_id] = establish_context(
-                "sae-client", "sae-mec", [suite], self.client_kme,
-                RefreshPolicy(max_uses, 3600), clock=self.clock)
+                "sae-client", "sae-mec", [suite], self.client_kme, policy, clock=self.clock)
+        self.max_uses = max_uses
         self.detached: set[str] = set()
-        self.bound = {context_id: [] for context_id in CONTEXTS}  # keys served, in order
+        self.keys = {context_id: [] for context_id in CONTEXTS}  # AEAD keys fetched, in order
+        self.open = {context_id: [] for context_id in CONTEXTS}  # ... with uses still due
+        self.due: dict[str, int] = {}  # AEAD key_ID -> its uses that have not arrived
         self.pads: list[str] = []
-        self.captured: list[tuple[str, EncryptedEnvelope]] = []
+        self.captured: list[tuple[str, EncryptedEnvelope]] = []  # served once
+        self.in_flight: list[tuple[str, EncryptedEnvelope, bytes, channel.Key]] = []
         self.sent = 0
+        self.served = 0
 
     def _invoke(self, context_id, envelope):
         return self.transport.request(
@@ -80,7 +91,7 @@ class HostKeyTable(RuleBasedStateMachine):
             headers={"x-app-context-id": context_id, "content-type": "application/octet-stream"},
         )
 
-    def _expect(self, context_id, envelope, status, ctx=None):
+    def _expect(self, context_id, envelope, status, body=None, key=None):
         calls = self.calls
         response = self._invoke(context_id, envelope)
         assert response.status == status, (response.status, response.body)
@@ -88,40 +99,58 @@ class HostKeyTable(RuleBasedStateMachine):
             assert "x-envelope" not in response.headers
             assert self.calls == calls  # no handler ran
             return
+        self.served += 1
         reply = EncryptedEnvelope.from_bytes(response.body)
-        plaintext = channel.decrypt(reply, ctx.key, response=True)
-        assert plaintext == b"request %d" % self.sent
+        assert channel.decrypt(reply, key, response=True) == body
 
-    @rule(context_id=st.sampled_from(CONTEXTS))
-    def send_fresh_request(self, context_id):
+    def _encrypt(self, context_id):
         ctx = self.contexts[context_id]
         self.sent += 1
-        envelope = channel.encrypt(ctx, b"request %d" % self.sent, self.client_kme,
-                                   clock=self.clock)
+        body = b"request %d" % self.sent
+        envelope = channel.encrypt(ctx, body, self.client_kme, clock=self.clock)
+        return context_id, envelope, body, ctx.key
+
+    def _deliver(self, context_id, envelope, body, key):
+        key_id = envelope.key_id
         if context_id in self.detached:
             self._expect(context_id, envelope, 410)
             return
-        self._expect(context_id, envelope, 200, ctx)
+        if envelope.suite_id == 2:
+            self.pads.append(key_id)
+        elif key_id not in self.due:  # first use: the host fetches the key and binds it
+            self.keys[context_id].append(key_id)
+            self.due[key_id] = self.max_uses
+            self.open[context_id].append(key_id)
+            if len(self.open[context_id]) > OPEN_KEYS:
+                self.open[context_id].pop(0)  # the context's oldest key goes
+        elif key_id not in self.open[context_id]:  # dropped for a newer key
+            self._expect(context_id, envelope, 404)
+            return
+        self._expect(context_id, envelope, 200, body, key)
         self.captured.append((context_id, envelope))
-        if ctx.suite.mode == channel.MODE_OTP:
-            self.pads.append(envelope.key_id)
-        elif envelope.key_id not in self.bound[context_id]:
-            self.bound[context_id].append(envelope.key_id)
+        if envelope.suite_id == 1:
+            self.due[key_id] -= 1
+            if not self.due[key_id]:
+                self.open[context_id].remove(key_id)  # its last use: the key left
+
+    @rule(context_id=st.sampled_from(CONTEXTS))
+    def send_fresh_request(self, context_id):
+        self._deliver(*self._encrypt(context_id))
+
+    @rule(context_id=st.sampled_from(CONTEXTS))
+    def hold_a_request_back(self, context_id):
+        self.in_flight.append(self._encrypt(context_id))
+
+    @precondition(lambda self: self.in_flight)
+    @rule(data=st.data())
+    def deliver_a_held_back_request(self, data):
+        self._deliver(*self.in_flight.pop(data.draw(st.integers(0, len(self.in_flight) - 1))))
 
     @precondition(lambda self: self.captured)
     @rule(data=st.data())
     def resend_captured_envelope(self, data):
         context_id, envelope = data.draw(st.sampled_from(self.captured))
-        if context_id in self.detached:
-            self._expect(context_id, envelope, 410)
-        elif envelope.suite_id == 2 or envelope.key_id not in self.bound[context_id][-2:]:
-            self._expect(context_id, envelope, 404)  # a spent pad or a rolled-out key
-        else:
-            # a current or previous key still serves (replays are not refused yet)
-            calls = self.calls
-            response = self._invoke(context_id, envelope)
-            assert response.status == 200
-            assert self.calls == calls + 1
+        self._expect(context_id, envelope, 410 if context_id in self.detached else 404)
 
     @precondition(lambda self: any(c == CONTEXTS[0] for c, _ in self.captured))
     @rule(data=st.data())
@@ -142,15 +171,16 @@ class HostKeyTable(RuleBasedStateMachine):
         context_id = data.draw(st.sampled_from([c for c in CONTEXTS if c not in self.detached]))
         self.host.detach_context(self.inst.uri, context_id)
         self.detached.add(context_id)
+        self.open[context_id] = []
+
+    def teardown(self):
+        self.cap.stop()
 
     @invariant()
-    def table_holds_current_and_previous_key_of_attached_contexts(self):
-        expected = 0
-        for context_id, keys in self.bound.items():
-            kept = [] if context_id in self.detached else keys[-2:]
-            assert [k for k in keys if holds(self.host._store, k)] == kept
-            expected += len(kept)
-        assert len(self.host._store) == expected
+    def table_holds_the_keys_of_attached_contexts_with_uses_due(self):
+        for context_id, keys in self.keys.items():
+            assert [k for k in keys if holds(self.host._store, k)] == self.open[context_id]
+        assert len(self.host._store) == sum(len(keys) for keys in self.open.values())
 
     @invariant()
     def no_pad_outlives_its_request(self):
@@ -160,6 +190,10 @@ class HostKeyTable(RuleBasedStateMachine):
     def each_fetch_is_a_distinct_key(self):
         fetched = self.host_kme.fetched
         assert self.host.dec_fetches == len(set(fetched)) == len(fetched)
+
+    @invariant()
+    def the_handler_ran_once_per_reply_served(self):
+        assert self.calls == self.served
 
 
 HostKeyTable.TestCase.settings = settings(max_examples=60, stateful_step_count=30,
