@@ -61,12 +61,6 @@ class CipherSuite:
     key_length: int  # bits
     mode: str
 
-    def __post_init__(self) -> None:
-        if self.key_length <= 0 or self.key_length % 8 != 0:
-            raise ValueError("key_length must be a positive multiple of 8")
-        if self.mode not in (MODE_AEAD, MODE_OTP):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
 
 # Built-in suites: 1 = AES-256-GCM, 2 = one-time pad (single use per key).
 SUITES: Mapping[int, CipherSuite] = MappingProxyType({
@@ -92,8 +86,6 @@ class Key:
 
 def negotiate(offered: Sequence[int], supported: Sequence[int]) -> int:
     """Pick the lowest suite id both sides know; symmetric in its arguments."""
-    if not offered or not supported:
-        raise ValueError("offered and supported suite lists must be non-empty")
     common = set(offered) & set(supported)
     if not common:
         raise NoCommonSuiteError(f"no common suite in offered={list(offered)}")

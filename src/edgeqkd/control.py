@@ -1,12 +1,19 @@
 """Edge control plane: application catalog, lifecycle proxy, and orchestrator.
 
 The lifecycle proxy exposes discovery and application-context create/delete
-to client-domain device apps. The orchestrator owns placement: reuse a
-shareable instance of the exact same application if one exists anywhere,
-otherwise deploy on the feasible host with the most free slots (ties broken
-by lexicographically smallest host id). Placement decisions and their slot
-commits run as one atomic transaction, so hosts are never over-committed
-even under concurrent context creation.
+to client-domain device apps (ETSI GS MEC 016). The two are separate
+procedures: a device app that already knows the (name, provider, version)
+it wants creates the context directly, and an app the catalog does not
+offer gets 404 `app-not-found`.
+
+The orchestrator owns placement: reuse a shareable instance of the exact
+same application if one exists anywhere, otherwise deploy on the feasible
+host with the most free slots (ties broken by lexicographically smallest
+host id). Placement decisions and their slot commits run as one atomic
+transaction, so hosts are never over-committed even under concurrent
+context creation. A deployed instance starts with the new context active,
+so setting up a context costs one deploy per instance deployed for it, and
+one attach per instance it reuses, sent only once every deploy succeeded.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from urllib.parse import urlencode
 from .clock import Clock
 from .entropy import ByteStream, uuid4_from
 from .errors import (
+    AppNotFoundError,
     CapacityExhaustedError,
+    EdgeQkdError,
     InvalidConfigError,
     MalformedError,
     NotFoundError,
@@ -190,67 +199,28 @@ def place_app(app: AppInfo, hosts: Sequence[HostDescriptor]) -> Placement:
 # Orchestrator
 # ---------------------------------------------------------------------------
 
-class HostCommander:
-    """Deploy/undeploy/attach/detach commands sent to one host over the wire."""
-
-    def __init__(self, transport: Transport, *, src: str, base_url: str) -> None:
-        self._transport = transport
-        self._src = src
-        self.base_url = base_url.rstrip("/")
-
-    def _post(self, path: str, doc: dict) -> dict:
-        response = self._transport.request(
-            src=self._src, channel="mec-internal", method="POST",
-            url=self.base_url + path, body=dumps(doc),
-            headers={"content-type": "application/json"},
-        )
-        raise_for_status(response)
-        return loads(response.body) if response.body else {}
-
-    def deploy(self, entry: CatalogEntry, chain_uri: str | None) -> str:
-        doc = {
-            "app": entry.app.to_doc(),
-            "handler": entry.handler,
-            "chain_uri": chain_uri,
-        }
-        return str(self._post("/mgmt/v1/deploy", doc)["uri"])
-
-    def undeploy(self, uri: str) -> None:
-        self._post("/mgmt/v1/undeploy", {"uri": uri})
-
-    def attach(self, uri: str, context_id: str) -> None:
-        self._post("/mgmt/v1/attach", {"uri": uri, "context_id": context_id})
-
-    def detach(self, uri: str, context_id: str) -> None:
-        self._post("/mgmt/v1/detach", {"uri": uri, "context_id": context_id})
-
-
 class Meo:
-    """Orchestrator: owns the host inventory and every slot commitment."""
+    """Orchestrator: owns the host inventory and every slot commitment, and
+    commands each host at `http://<host_id>/mgmt/v1/<action>`."""
 
-    def __init__(self, catalog: Catalog, commanders: Mapping[str, HostCommander],
+    def __init__(self, catalog: Catalog, transport: Transport,
                  host_slots: Mapping[str, int]) -> None:
         self._catalog = catalog
-        self._commanders = dict(commanders)
+        self._transport = transport
         self._inventory = {
             host_id: HostDescriptor(host_id=host_id, total_slots=slots)
             for host_id, slots in host_slots.items()
         }
         self._lock = threading.RLock()
 
-    def snapshot(self) -> list[HostDescriptor]:
-        with self._lock:
-            return [
-                HostDescriptor(
-                    host_id=h.host_id, total_slots=h.total_slots, used_slots=h.used_slots,
-                    instances={
-                        uri: InstanceInfo(uri=i.uri, app=i.app, shareable=i.shareable,
-                                          refcount=i.refcount, chain_uri=i.chain_uri)
-                        for uri, i in h.instances.items()
-                    },
-                )
-                for h in sorted(self._inventory.values(), key=lambda h: h.host_id)
-            ]
+    def _command(self, host_id: str, action: str, doc: dict) -> dict:
+        response = self._transport.request(
+            src="lcmp", channel="mec-internal", method="POST",
+            url=f"http://{host_id}/mgmt/v1/{action}", body=dumps(doc),
+            headers={"content-type": "application/json"},
+        )
+        raise_for_status(response)
+        return loads(response.body) if response.body else {}
 
     def _find_instance(self, uri: str) -> tuple[HostDescriptor, InstanceInfo]:
         for host in self._inventory.values():
@@ -258,44 +228,52 @@ class Meo:
                 return host, host.instances[uri]
         raise NotFoundError(f"no instance at {uri}")
 
-    def _deploy_locked(self, entry: CatalogEntry) -> InstanceInfo:
+    def _acquire_locked(self, entry: CatalogEntry, context_id: str,
+                        reused: list[tuple[str, str]]) -> InstanceInfo:
+        """Take a reference on an instance of `entry` for a new context.
+
+        A shareable instance is reused, and it and its chained hops are added
+        to `reused` as (host id, uri), for the caller to attach the context
+        to once the whole acquire has succeeded. Otherwise the chained hop is
+        acquired first, and the instance is deployed with the context active.
+        """
         placement = place_app(entry.app, list(self._inventory.values()))
         if placement.kind == "reuse":
             assert placement.uri is not None
             _, instance = self._find_instance(placement.uri)
+            reused += self._chain_locked(instance.uri)
+            instance.refcount += 1
             return instance
         chain_uri = None
         if entry.chain_to is not None:
             chain_entry = self._catalog.get(entry.chain_to)
             if chain_entry is None:
                 raise NotFoundError(f"chained app {entry.chain_to} not in catalog")
-            chain_uri = self._acquire_instance_locked(chain_entry).uri
+            chain_uri = self._acquire_locked(chain_entry, context_id, reused).uri
         try:
             # the chained hop may have consumed slots, so place again; chains
             # are acyclic, so the hop deployed no instance of this app to reuse
             placement = place_app(entry.app, list(self._inventory.values()))
-        except CapacityExhaustedError:
+            uri = str(self._command(placement.host_id, "deploy", {
+                "app": entry.app.to_doc(), "handler": entry.handler,
+                "chain_uri": chain_uri, "context_id": context_id,
+            })["uri"])
+        except EdgeQkdError:
             if chain_uri is not None:
                 self._release_ref_locked(chain_uri)
             raise
-        host = self._inventory[placement.host_id]
-        uri = self._commanders[placement.host_id].deploy(entry, chain_uri)
         instance = InstanceInfo(uri=uri, app=entry.app, shareable=entry.shareable,
-                                refcount=0, chain_uri=chain_uri)
+                                refcount=1, chain_uri=chain_uri)
+        host = self._inventory[placement.host_id]
         host.instances[uri] = instance
         host.used_slots += entry.app.required_slots
-        return instance
-
-    def _acquire_instance_locked(self, entry: CatalogEntry) -> InstanceInfo:
-        instance = self._deploy_locked(entry)
-        instance.refcount += 1
         return instance
 
     def _release_ref_locked(self, uri: str) -> None:
         host, instance = self._find_instance(uri)
         instance.refcount = max(0, instance.refcount - 1)
         if instance.refcount == 0:
-            self._commanders[host.host_id].undeploy(uri)
+            self._command(host.host_id, "undeploy", {"uri": uri})
             del host.instances[uri]
             host.used_slots -= instance.app.required_slots
             if instance.chain_uri is not None:
@@ -311,18 +289,19 @@ class Meo:
         return hops
 
     def acquire(self, entry: CatalogEntry, context_id: str) -> str:
-        """Place (or reuse) an instance for a new context and attach the
-        context to it and to every hop of its chain; returns its URI."""
+        """Place (or reuse) an instance for a new context, with the context
+        active on it and on every hop of its chain; returns its URI."""
         with self._lock:
-            instance = self._acquire_instance_locked(entry)
-            for host_id, uri in self._chain_locked(instance.uri):
-                self._commanders[host_id].attach(uri, context_id)
+            reused: list[tuple[str, str]] = []
+            instance = self._acquire_locked(entry, context_id, reused)
+            for host_id, uri in reused:
+                self._command(host_id, "attach", {"uri": uri, "context_id": context_id})
             return instance.uri
 
     def release(self, uri: str, context_id: str) -> None:
         with self._lock:
             for host_id, hop in self._chain_locked(uri):
-                self._commanders[host_id].detach(hop, context_id)
+                self._command(host_id, "detach", {"uri": hop, "context_id": context_id})
             self._release_ref_locked(uri)
 
 
@@ -346,7 +325,7 @@ class Lcmp:
                        callback_uri: str | None = None) -> AppContext:
         entry = self._catalog.get(app_key)
         if entry is None:
-            raise NotFoundError(f"application {app_key} not offered")
+            raise AppNotFoundError(f"application {app_key} not offered")
         with self._lock:
             context_id = uuid4_from(self._ids)
         created_at = self._clock.now()
@@ -363,10 +342,6 @@ class Lcmp:
         if context is None:
             raise UnknownContextError(f"no active context {context_id}")
         self._meo.release(context.endpoint_uri, context_id)
-
-    def get_context(self, context_id: str) -> AppContext | None:
-        with self._lock:
-            return self._contexts.get(context_id)
 
     # -- wire surface ---------------------------------------------------------
 

@@ -1,14 +1,15 @@
 """Client-domain gateway: reverse proxy, device app, and client-side SAE.
 
 Client programs speak plain HTTP to the gateway and never see anything
-else. On the first request for a route the gateway discovers the
-application, creates an application context, picks the lowest offered
-cipher suite, and binds a key; afterwards it encrypts request bodies,
-invokes the remote instance, and decrypts responses with the key that
-sealed the request, rolling keys per the refresh policy. A route holds one
-key, in its security context, until a rollover or teardown. When the host
-answers 404 `unknown-key-id`, it will not serve under that key again, so
-the route rolls its key over and retries the request once.
+else. On the first request for a route the gateway creates an application
+context for the (name, provider, version) its binding names, picks the
+lowest offered cipher suite, and binds a key; afterwards it encrypts
+request bodies, invokes the remote instance, and decrypts responses with
+the key that sealed the request, rolling keys per the refresh policy. A
+route holds one key, in its security context, until a rollover or
+teardown. When the host answers 404 `unknown-key-id`, it will not serve
+under that key again, so the route rolls its key over and retries the
+request once.
 Establishment is single-flight per route, so a burst of first requests
 costs exactly one context and one key.
 """
@@ -24,7 +25,6 @@ from . import channel
 from .clock import Clock
 from .control import Mx2Client
 from .errors import (
-    AppNotFoundError,
     AuthFailureError,
     ContextDeletedError,
     EdgeQkdError,
@@ -96,22 +96,13 @@ class Gateway:
                 return binding
         raise NoRouteError(f"no route bound for {path}")
 
-    def init_app(self, binding: RouteBinding) -> dict:
-        """Discovery plus context creation; returns the new context document."""
-        found = self._mx2.lookup(binding.app_name, binding.provider, binding.version)
-        if not found:
-            raise AppNotFoundError(
-                f"{binding.app_name} {binding.version} by {binding.provider} is not offered"
-            )
-        doc = self._mx2.create_context(binding.app_name, binding.provider, binding.version)
-        binding.context_id = str(doc["context_id"])
-        binding.endpoint_uri = str(doc["endpoint_uri"])
-        return doc
-
     def _ensure_ready(self, binding: RouteBinding) -> None:
         with binding.lock:
             if binding.context_id is None:
-                self.init_app(binding)
+                doc = self._mx2.create_context(binding.app_name, binding.provider,
+                                               binding.version)
+                binding.context_id = str(doc["context_id"])
+                binding.endpoint_uri = str(doc["endpoint_uri"])
             if binding.plaintext or binding.security is not None:
                 return
             binding.security = channel.establish_context(

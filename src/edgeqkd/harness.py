@@ -30,7 +30,7 @@ from typing import Any, Mapping, Sequence
 
 from . import channel
 from .clock import Clock, SimulatedClock, SystemClock
-from .control import AppInfo, Catalog, CatalogEntry, HostCommander, Lcmp, Meo
+from .control import AppInfo, Catalog, CatalogEntry, Lcmp, Meo
 from .entropy import make_stream
 from .errors import InvalidConfigError, MalformedError
 from .gateway import Gateway, RouteBinding
@@ -194,7 +194,8 @@ class ScenarioConfig:
             )
             if not binding.path_prefix.startswith("/"):
                 raise InvalidConfigError("binding path_prefix must start with /")
-            # names must exist; version/provider mismatches surface at discovery time
+            # names must exist; a version or provider the catalog does not
+            # offer gets 404 app-not-found when the route creates its context
             if binding.app_name not in {k[0] for k in chains}:
                 raise InvalidConfigError(
                     f"binding {binding.path_prefix} references unknown app {binding.app_name}"
@@ -310,11 +311,7 @@ class Stack:
                 handlers=BUILTIN_HANDLERS,
             )
 
-        commanders = {
-            host_id: HostCommander(transport, src="lcmp", base_url=f"http://{host_id}")
-            for host_id in hosts
-        }
-        meo = Meo(catalog, commanders, {h.host_id: h.total_slots for h in config.hosts})
+        meo = Meo(catalog, transport, {h.host_id: h.total_slots for h in config.hosts})
         lcmp = Lcmp(catalog, meo, clock=clock,
                     id_stream=make_stream(seed, "app-context-id"))
 

@@ -17,9 +17,10 @@ The gateway then gets 404 and rolls its key over once (see `gateway`).
 
 The plaintext entry point (`invoke_plain`, for a route configured without
 encryption and for the chained hop) runs a handler only for a context that
-is active on its instance, as `invoke` does. The orchestrator attaches a
-context to every instance of a chain, and the chained hop sends the context
-header on.
+is active on its instance, as `invoke` does. An instance is deployed with
+the context it is placed for active, the orchestrator attaches a later
+context to every instance of a chain it reuses, and the chained hop sends
+the context header on.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ class MecHost:
         with self._lock:
             return sum(i.app.required_slots for i in self._instances.values())
 
-    def deploy(self, app: AppInfo, handler_name: str,
-               chain_uri: str | None) -> MecAppInstance:
+    def deploy(self, app: AppInfo, handler_name: str, chain_uri: str | None,
+               context_id: str) -> MecAppInstance:
+        """A new instance of `app`, with `context_id` active on it."""
         handler = self._handlers.get(handler_name)
         if handler is None:
             raise UnknownAppImageError(f"no function image {handler_name!r}")
@@ -124,7 +126,7 @@ class MecHost:
             segment = f"{app.app_name}-{self._seq}"
             instance = MecAppInstance(
                 app=app, uri=f"{self.base_url}/apps/{segment}",
-                handler=handler, chain_uri=chain_uri,
+                handler=handler, chain_uri=chain_uri, active_contexts={context_id},
             )
             self._instances[segment] = instance
             return instance
@@ -155,10 +157,6 @@ class MecHost:
         if instance is None:
             raise NotFoundError(f"no instance {segment!r} on host {self.host_id}")
         return instance
-
-    def instances(self) -> list[MecAppInstance]:
-        with self._lock:
-            return list(self._instances.values())
 
     # -- key handling ------------------------------------------------------------
 
@@ -267,9 +265,10 @@ class MecHost:
         return doc
 
     def _w_deploy(self, request: WireRequest):
-        doc = self._mgmt_body(request)
+        doc = self._mgmt_body(request, "context_id")
         app = AppInfo.from_doc(doc.get("app"))
-        instance = self.deploy(app, str(doc.get("handler", app.app_name)), doc.get("chain_uri"))
+        instance = self.deploy(app, str(doc.get("handler", app.app_name)), doc.get("chain_uri"),
+                               doc["context_id"])
         return json_response(200, {"uri": instance.uri})
 
     def _w_undeploy(self, request: WireRequest):

@@ -2,14 +2,14 @@
 
 Two key-management entities (one per security perimeter) share a single
 entropy pool. Each entity acts for its local application entity and is a
-key source with the same three calls as the REST client `KmeClient`:
-`get_enc_keys` (master side: fresh keys), `get_dec_keys` (slave side: the
-matching bytes, exactly once per key identifier) and `get_status`, which
-returns the `wire.STATUS_FIELDS` dict. The pair keeps one ledger, key_ID to
-key bytes until the slave side releases them, then None: the material is
-purged, the id stays so a second release is refused. Key bytes and
-identifiers are expanded deterministically from the pool seed, so identical
-request transcripts reproduce identical keys.
+key source with the same two calls as the REST client `KmeClient`:
+`get_enc_keys` (master side: fresh keys) and `get_dec_keys` (slave side: the
+matching bytes, exactly once per key identifier). Its `get_status` returns
+the `wire.STATUS_FIELDS` dict that the REST status route serves. The pair
+keeps one ledger, key_ID to key bytes until the slave side releases them,
+then None: the material is purged, the id stays so a second release is
+refused. Key bytes and identifiers are expanded deterministically from the
+pool seed, so identical request transcripts reproduce identical keys.
 
 Rate model: the link produces secret bits continuously at the configured
 rate, metered as a cumulative production ledger; `capacity_bits` bounds the
@@ -37,7 +37,6 @@ from .errors import (
 from .transport import Router, Transport, WireRequest, WireResponse, raise_for_status
 from .wire import (
     decode_key_container,
-    decode_status,
     dumps,
     encode_key_container,
     encode_status,
@@ -317,9 +316,4 @@ class KmeClient:
         response = self._request("POST", f"/api/v1/keys/{master_sae}/dec_keys",
                                  dumps({"key_IDs": [{"key_ID": kid} for kid in key_ids]}))
         return decode_key_container(response.body)
-
-    def get_status(self, peer_sae: str, *, size: int | None = None) -> dict:
-        query = "" if size is None else f"?size={size}"
-        response = self._request("GET", f"/api/v1/keys/{peer_sae}/status{query}")
-        return decode_status(response.body)
 

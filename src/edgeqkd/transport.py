@@ -298,8 +298,6 @@ class Transport:
         self._peers: dict[str, Any] = {}
 
     def register(self, name: str, peer: Any) -> None:
-        if name in self._peers:
-            raise ValueError(f"component {name!r} already registered")
         self._peers[name] = peer
 
     def request(self, *, src: str, channel: str, method: str, url: str,

@@ -1,7 +1,8 @@
 """Wire formats for the key-delivery REST protocol.
 
 Single source of truth for the key-container, status, and error JSON bodies
-exchanged between key-management servers and their application-side clients.
+exchanged between key-management servers and their application-side clients
+(a status body is only served: no client in the stack reads it).
 Encoding is canonical (fixed field order, compact separators) so equal values
 always serialize to identical bytes; decoding tolerates unknown extra fields
 but is strict about missing or ill-typed required ones.
@@ -117,18 +118,6 @@ def encode_status(status: Mapping[str, Any]) -> bytes:
     if missing:
         raise ValueError(f"status missing fields: {missing}")
     return dumps({field: status[field] for field in STATUS_FIELDS})
-
-
-def decode_status(data: bytes | str) -> dict[str, Any]:
-    doc = loads(data)
-    if not isinstance(doc, dict):
-        raise MalformedError("status body must be an object")
-    out: dict[str, Any] = {}
-    for field in STATUS_FIELDS:
-        if field not in doc:
-            raise MalformedError(f"status missing field {field!r}")
-        out[field] = doc[field]
-    return out
 
 
 def encode_error(code: str, message: str) -> bytes:

@@ -47,6 +47,17 @@ def sim_clock():
     return SimulatedClock()
 
 
+def kme_status(transport, base_url: str, peer_sae: str, *, size: int | None = None) -> dict:
+    """A key-management entity's status document for a peer, read over its REST route."""
+    from edgeqkd.transport import raise_for_status
+    from edgeqkd.wire import loads
+
+    query = "" if size is None else f"?size={size}"
+    response = transport.request(src="test", channel="qkd", method="GET",
+                                 url=f"{base_url}/api/v1/keys/{peer_sae}/status{query}")
+    return loads(raise_for_status(response).body)
+
+
 def holds(key_table, key_id: str) -> bool:
     """Whether a key table holds a live key, observed through its lookup."""
     return key_table.get(key_id) is not None

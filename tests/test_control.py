@@ -11,7 +11,6 @@ from edgeqkd.control import (
     AppInfo,
     Catalog,
     CatalogEntry,
-    HostCommander,
     HostDescriptor,
     InstanceInfo,
     Lcmp,
@@ -22,8 +21,9 @@ from edgeqkd.control import (
 from edgeqkd.channel import RefreshPolicy
 from edgeqkd.entropy import make_stream
 from edgeqkd.errors import (
+    AppNotFoundError,
     CapacityExhaustedError,
-    NotFoundError,
+    UnknownAppImageError,
     UnknownContextError,
 )
 from edgeqkd.host import MecHost
@@ -189,9 +189,7 @@ def build_control_plane(catalog_entries, host_slots, clock=None):
         transport.register(host_id, host.router())
         hosts[host_id] = host
     catalog = Catalog(catalog_entries)
-    commanders = {hid: HostCommander(transport, src="lcmp", base_url=f"http://{hid}")
-                  for hid in hosts}
-    meo = Meo(catalog, commanders, dict(host_slots))
+    meo = Meo(catalog, transport, dict(host_slots))
     lcmp = Lcmp(catalog, meo, clock=clock, id_stream=make_stream(SEED, "ctx"))
     return lcmp, meo, hosts, transport
 
@@ -205,12 +203,13 @@ def test_create_context_happy_path():
     assert context.to_doc()["state"] == "active"
     assert context.endpoint_uri.startswith("http://edge-a/apps/fn-echo-")
     assert hosts["edge-a"].used_slots == 1
-    assert context.context_id in hosts["edge-a"].instances()[0].active_contexts
+    (instance,) = hosts["edge-a"]._instances.values()
+    assert instance.active_contexts == {context.context_id}
 
 
 def test_create_context_unknown_app():
     lcmp, *_ = build_control_plane([ECHO], {"edge-a": 2})
-    with pytest.raises(NotFoundError):
+    with pytest.raises(AppNotFoundError):
         lcmp.create_context(("fn-nope", "demo", "1.0"))
 
 
@@ -226,7 +225,7 @@ def test_delete_context_and_idempotency():
     lcmp, meo, hosts, _ = build_control_plane([ECHO], {"edge-a": 2})
     context = lcmp.create_context(ECHO.app.key)
     lcmp.delete_context(context.context_id)
-    assert lcmp.get_context(context.context_id) is None  # forgotten, not kept as deleted
+    assert lcmp._contexts == {}  # forgotten, not kept as deleted
     assert hosts["edge-a"].used_slots == 0  # idle instance reaped
     with pytest.raises(UnknownContextError):
         lcmp.delete_context(context.context_id)
@@ -239,8 +238,8 @@ def test_shared_instance_survives_one_delete():
     assert c1.endpoint_uri == c2.endpoint_uri  # reuse
     lcmp.delete_context(c1.context_id)
     assert hosts["edge-a"].used_slots == 1
-    snapshot = meo.snapshot()[0]
-    assert list(snapshot.instances.values())[0].refcount == 1
+    (instance,) = meo._inventory["edge-a"].instances.values()
+    assert instance.refcount == 1
     lcmp.delete_context(c2.context_id)
     assert hosts["edge-a"].used_slots == 0
 
@@ -251,7 +250,7 @@ def test_reservation_no_reap_while_active():
     kept = lcmp.create_context(ECHO.app.key)
     dropped = lcmp.create_context(entry.app.key)
     lcmp.delete_context(dropped.context_id)
-    uris = [inst.uri for inst in hosts["edge-a"].instances()]
+    uris = [inst.uri for inst in hosts["edge-a"]._instances.values()]
     assert kept.endpoint_uri in uris
     assert dropped.endpoint_uri not in uris
 
@@ -281,7 +280,7 @@ def test_no_overcommit_under_concurrency():
     created = [r for r in results if r is not None]
     assert len(created) == 3
     assert hosts["edge-a"].used_slots == 3
-    assert meo.snapshot()[0].used_slots == 3
+    assert meo._inventory["edge-a"].used_slots == 3
 
 
 def test_chain_deploys_and_reaps_with_parent():
@@ -304,12 +303,41 @@ def test_context_is_attached_along_the_whole_chain():
     second = lcmp.create_context(chained.app.key)
 
     def contexts():
-        return {i.uri.rsplit("/", 1)[-1]: i.active_contexts for i in hosts["edge-a"].instances()}
+        return {segment: i.active_contexts for segment, i in hosts["edge-a"]._instances.items()}
 
     one, two = first.context_id, second.context_id
     assert contexts() == {"fn-upper-1": {one, two}, "fn-echo-2": {one}, "fn-echo-3": {two}}
     lcmp.delete_context(one)
     assert contexts() == {"fn-upper-1": {two}, "fn-echo-3": {two}}
+
+
+def test_refused_acquire_changes_nothing():
+    # fn-sum -> fn-echo -> fn-upper on 2 slots, fn-upper already serving: the
+    # chain reuses fn-upper and deploys fn-echo, then finds no slot for fn-sum
+    upper = CatalogEntry(app=app("fn-upper"), handler="fn-upper")
+    echo = CatalogEntry(app=app("fn-echo"), handler="fn-echo", chain_to=upper.app.key)
+    summed = CatalogEntry(app=app("fn-sum"), handler="fn-sum", chain_to=echo.app.key)
+    lcmp, meo, hosts, _ = build_control_plane([summed, echo, upper], {"edge-a": 2})
+    served = lcmp.create_context(upper.app.key)
+    with pytest.raises(CapacityExhaustedError):
+        lcmp.create_context(summed.app.key)
+    (instance,) = hosts["edge-a"]._instances.values()
+    assert instance.uri == served.endpoint_uri == "http://edge-a/apps/fn-upper-1"
+    assert instance.active_contexts == {served.context_id}
+    (info,) = meo._inventory["edge-a"].instances.values()
+    assert (info.refcount, meo._inventory["edge-a"].used_slots) == (1, 1)
+    assert list(lcmp._contexts) == [served.context_id]
+
+
+def test_a_refused_deploy_releases_its_chained_hop():
+    # the host knows no image "fn-nope", so fn-x's deploy fails after its hop's
+    echo = CatalogEntry(app=app("fn-echo"), handler="fn-echo")
+    broken = CatalogEntry(app=app("fn-x"), handler="fn-nope", chain_to=echo.app.key)
+    lcmp, meo, hosts, _ = build_control_plane([broken, echo], {"edge-a": 2})
+    with pytest.raises(UnknownAppImageError):
+        lcmp.create_context(broken.app.key)
+    assert hosts["edge-a"]._instances == {}
+    assert meo._inventory["edge-a"].used_slots == 0
 
 
 def test_mx2_wire_surface():

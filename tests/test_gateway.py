@@ -84,7 +84,7 @@ def test_first_request_costs_one_context_and_one_key():
     assert keys_dispensed(stack) == 1
     # the route's binding holds the endpoint its context was created for
     binding = stack.gateway.binding_for("/echo")
-    context = stack.lcmp.get_context(binding.context_id)
+    context = stack.lcmp._contexts[binding.context_id]
     assert binding.endpoint_uri and binding.endpoint_uri == context.endpoint_uri
 
 
@@ -130,7 +130,8 @@ def test_app_not_found_is_404_before_any_context():
     response = stack.client_request("/ghost", b"x")
     assert response.status == 404
     assert b"app-not-found" in response.body
-    assert contexts_created(stack) == 0  # discovery miss precedes context creation
+    assert contexts_created(stack) == 0
+    assert count_frames(stack, "mec-internal", lambda f: True) == 0  # nothing deployed
 
 
 def test_capacity_exhausted_maps_503():

@@ -72,24 +72,24 @@ def recording_handler(delay=0.0):
 
 def test_deploy_assigns_sequential_uris():
     host, *_ = build_host()
-    inst = host.deploy(app(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     assert inst.uri == "http://edge-a/apps/fn-echo-1"
-    inst2 = host.deploy(app(), "fn-echo", None)
+    inst2 = host.deploy(app(), "fn-echo", None, CTX)
     assert inst2.uri == "http://edge-a/apps/fn-echo-2"
     assert host.used_slots == 2
 
 
 def test_deploy_full_host():
     host, *_ = build_host(slots=1)
-    host.deploy(app(), "fn-echo", None)
+    host.deploy(app(), "fn-echo", None, CTX)
     with pytest.raises(CapacityExhaustedError):
-        host.deploy(app(), "fn-echo", None)
+        host.deploy(app(), "fn-echo", None, CTX)
 
 
 def test_deploy_unknown_image():
     host, *_ = build_host()
     with pytest.raises(UnknownAppImageError):
-        host.deploy(app("fn-mystery"), "fn-mystery", None)
+        host.deploy(app("fn-mystery"), "fn-mystery", None, CTX)
 
 
 def invoke(host, transport, inst, envelope, context_id=CTX):
@@ -101,8 +101,7 @@ def invoke(host, transport, inst, envelope, context_id=CTX):
 
 
 def roundtrip(host, master, transport, clock, body, handler="fn-echo", policy=None, suite=1):
-    inst = host.deploy(app(handler), handler, None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(handler), handler, None, CTX)
     ctx, kme = client_side(master, clock, policy=policy, suite=suite)
     envelope = channel.encrypt(ctx, body, kme, clock=clock)
     response = invoke(host, transport, inst, envelope)
@@ -133,8 +132,7 @@ def test_invoke_sum():
 
 def test_handler_error_is_encrypted():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app("fn-sum"), "fn-sum", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app("fn-sum"), "fn-sum", None, CTX)
     ctx, kme = client_side(master, clock)
     secret = b"not json, secretly: hunter2-hunter2"
     envelope = channel.encrypt(ctx, secret, kme, clock=clock)
@@ -151,8 +149,7 @@ def test_handler_error_is_encrypted():
 
 def test_invoke_requires_active_context():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app(), "fn-echo", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     ctx, kme = client_side(master, clock)
     envelope = channel.encrypt(ctx, b"x", kme, clock=clock)
     response = invoke(host, transport, inst, envelope, context_id="someone-else")
@@ -178,8 +175,7 @@ def test_invoke_unknown_instance():
 def test_consumed_and_evicted_key_is_unknown():
     clock = SimulatedClock()
     host, master, transport, _ = build_host(clock=clock, max_age=5.0)
-    inst = host.deploy(app(), "fn-echo", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     ctx, kme = client_side(master, clock, policy=RefreshPolicy(100, 1e9))
     first = channel.encrypt(ctx, b"one", kme, clock=clock)
     assert invoke(host, transport, inst, first).status == 200
@@ -192,8 +188,7 @@ def test_consumed_and_evicted_key_is_unknown():
 
 def test_single_flight_key_fetch():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app(), "fn-echo", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     ctx, kme = client_side(master, clock, policy=RefreshPolicy(100, 1e9))
     envelopes = [channel.encrypt(ctx, b"m%d" % i, kme, clock=clock) for i in range(6)]
     assert len({e.key_id for e in envelopes}) == 1  # same fresh key
@@ -221,8 +216,7 @@ def test_forged_suite_on_a_seen_key_does_not_block_the_genuine_request():
     # with an empty nonce. The key's length fixes its suite, so the forgery
     # fails and does not stop the genuine envelope from being served.
     host, master, transport, clock = build_host()
-    inst = host.deploy(app(), "fn-echo", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     ctx, kme = client_side(master, clock)
     genuine = channel.encrypt(ctx, b"genuine request", kme, clock=clock)
     forged = EncryptedEnvelope(genuine.key_id, 2, b"", genuine.ciphertext, genuine.sender_sae)
@@ -243,7 +237,7 @@ def test_reflected_reply_is_refused():
     response, _, plaintext, _ = roundtrip(host, master, transport, clock, b"[1,2,3]",
                                           handler="fn-sum")
     assert plaintext == b"6"
-    inst = host.instances()[0]
+    (inst,) = host._instances.values()
     reflected = transport.request(
         src="gateway", channel="data", method="POST", url=inst.uri + "/invoke",
         body=response.body,
@@ -261,8 +255,8 @@ def test_reflected_otp_reply_is_refused():
     response, _, plaintext, _ = roundtrip(host, master, transport, clock, b"one pad",
                                           suite=2)
     assert plaintext == b"one pad"
-    reflected = invoke(host, transport, host.instances()[0],
-                       EncryptedEnvelope.from_bytes(response.body))
+    (inst,) = host._instances.values()
+    reflected = invoke(host, transport, inst, EncryptedEnvelope.from_bytes(response.body))
     assert reflected.status == 404
     assert b"unknown-key-id" in reflected.body
     assert "x-envelope" not in reflected.headers
@@ -272,7 +266,8 @@ def test_replayed_otp_request_is_refused():
     host, master, transport, clock = build_host()
     response, _, _, request = roundtrip(host, master, transport, clock, b"one pad", suite=2)
     assert response.status == 200
-    replayed = invoke(host, transport, host.instances()[0], request)
+    (inst,) = host._instances.values()
+    replayed = invoke(host, transport, inst, request)
     assert replayed.status == 404
     assert b"unknown-key-id" in replayed.body
     assert "x-envelope" not in replayed.headers
@@ -283,8 +278,7 @@ def test_concurrent_pad_envelopes_run_the_handler_once():
     # envelope in flight at once, exactly one reaches the handler
     handler, calls = recording_handler(delay=0.2)
     host, master, transport, clock = build_host(handlers={"fn-slow": handler})
-    inst = host.deploy(app("fn-slow"), "fn-slow", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app("fn-slow"), "fn-slow", None, CTX)
     ctx, kme = client_side(master, clock, suite=2)
     envelope = channel.encrypt(ctx, b"one pad", kme, clock=clock)
     barrier = threading.Barrier(2)
@@ -314,8 +308,7 @@ def test_each_pad_serves_one_request_under_contention():
     # thread switches: each pad reaches the handler once and is fetched once
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(handlers={"fn-rec": handler})
-    inst = host.deploy(app("fn-rec"), "fn-rec", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app("fn-rec"), "fn-rec", None, CTX)
     ctx, kme = client_side(master, clock, suite=2)
     envelopes = [channel.encrypt(ctx, b"pad %d" % i, kme, clock=clock) for i in range(4)]
     barrier = threading.Barrier(8)
@@ -407,8 +400,7 @@ def _envelope_beyond_max_uses(host, transport, inst, master, clock, ctx, kme):
 def test_unobtainable_key_is_unknown_and_runs_no_handler(make_envelope):
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(max_age=5.0, handlers={"fn-rec": handler})
-    inst = host.deploy(app("fn-rec"), "fn-rec", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app("fn-rec"), "fn-rec", None, CTX)
     ctx, kme = client_side(master, clock)
     envelope = make_envelope(host, transport, inst, master, clock, ctx, kme)
     handled = len(calls)
@@ -424,8 +416,7 @@ def test_keys_in_flight_survive_a_rollover():
     # the first key, which still serves; the host fetches no key twice
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(max_uses=2, handlers={"fn-rec": handler})
-    inst = host.deploy(app("fn-rec"), "fn-rec", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app("fn-rec"), "fn-rec", None, CTX)
     ctx, kme = client_side(master, clock, policy=RefreshPolicy(2, 3600))
     first_key = [channel.encrypt(ctx, b"K1 use %d" % i, kme, clock=clock) for i in range(2)]
     firsts = [first_key[0]]
@@ -446,8 +437,7 @@ def test_a_policy_that_rotates_by_age_only_serves():
     # max_uses far beyond any run: the host's record of a key's uses stays small
     policy = RefreshPolicy(2**36, 3600)
     host, master, transport, clock = build_host(max_uses=policy.max_uses)
-    inst = host.deploy(app(), "fn-echo", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     ctx, kme = client_side(master, clock, policy=policy)
     envelopes = [channel.encrypt(ctx, b"use %d" % i, kme, clock=clock) for i in range(3)]
     for envelope in envelopes:
@@ -475,8 +465,7 @@ def _sealed_with_nonce(nonce):
 def test_malformed_envelope_runs_no_handler_and_records_no_use(make):
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(handlers={"fn-rec": handler})
-    inst = host.deploy(app("fn-rec"), "fn-rec", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app("fn-rec"), "fn-rec", None, CTX)
     ctx, kme = client_side(master, clock)
     genuine = channel.encrypt(ctx, b"genuine", kme, clock=clock)
     response = invoke(host, transport, inst, make(genuine, ctx.key))
@@ -493,8 +482,7 @@ OTHER_CTX = "99999999-2222-4333-8444-555555555555"
 def two_contexts_on_one_instance():
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(handlers={"fn-rec": handler})
-    inst = host.deploy(app("fn-rec"), "fn-rec", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app("fn-rec"), "fn-rec", None, CTX)
     host.attach_context(inst.uri, OTHER_CTX)
     ctx, kme = client_side(master, clock)
     return host, transport, clock, inst, ctx, kme, calls
@@ -565,8 +553,7 @@ def test_racing_first_uses_under_two_contexts_serve_one(monkeypatch):
 def test_context_detached_while_the_envelope_opens_is_refused(monkeypatch):
     handler, calls = recording_handler()
     host, master, transport, clock = build_host(handlers={"fn-rec": handler})
-    inst = host.deploy(app("fn-rec"), "fn-rec", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app("fn-rec"), "fn-rec", None, CTX)
     ctx, kme = client_side(master, clock)
     envelope = channel.encrypt(ctx, b"late", kme, clock=clock)
     real_decrypt = channel.decrypt
@@ -586,8 +573,7 @@ def test_context_detached_while_the_envelope_opens_is_refused(monkeypatch):
 
 def test_malformed_envelope_consumes_no_key():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app(), "fn-echo", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     ctx, kme = client_side(master, clock)
     genuine = channel.encrypt(ctx, b"genuine request", kme, clock=clock)
     legacy_json = dumps({
@@ -611,8 +597,7 @@ def test_malformed_envelope_consumes_no_key():
 
 def test_key_obtainable_from_exactly_one_place():
     host, master, transport, clock = build_host()
-    inst = host.deploy(app(), "fn-echo", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     ctx, kme = client_side(master, clock)
     envelope = channel.encrypt(ctx, b"x", kme, clock=clock)
     key_id = envelope.key_id
@@ -625,9 +610,8 @@ def test_key_obtainable_from_exactly_one_place():
 
 def test_chained_hop():
     host, master, transport, clock = build_host()
-    target = host.deploy(app("fn-upper"), "fn-upper", None)
-    inst = host.deploy(app("fn-echo"), "fn-echo", target.uri)
-    host.attach_context(inst.uri, CTX)
+    target = host.deploy(app("fn-upper"), "fn-upper", None, OTHER_CTX)
+    inst = host.deploy(app("fn-echo"), "fn-echo", target.uri, CTX)
     ctx, kme = client_side(master, clock)
     # the hop serves only a context attached to it as well
     envelope = channel.encrypt(ctx, b"chained text", kme, clock=clock)
@@ -652,10 +636,8 @@ def invoke_plain(transport, inst, body, context_id):
 def test_invoke_plain_runs_nothing_without_an_active_context(context_id):
     handler, calls = recording_handler()
     host, _, transport, _ = build_host(handlers={"fn-echo": handler})
-    inst = host.deploy(app(), "fn-echo", None)
-    other = host.deploy(app(), "fn-echo", None)
-    host.attach_context(other.uri, OTHER_CTX)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
+    host.deploy(app(), "fn-echo", None, OTHER_CTX)
     host.detach_context(inst.uri, CTX)
     response = invoke_plain(transport, inst, b"in the clear", context_id)
     assert response.status == 410
@@ -666,8 +648,7 @@ def test_invoke_plain_runs_nothing_without_an_active_context(context_id):
 def test_invoke_plain_serves_an_active_context():
     handler, calls = recording_handler()
     host, _, transport, _ = build_host(handlers={"fn-echo": handler})
-    inst = host.deploy(app(), "fn-echo", None)
-    host.attach_context(inst.uri, CTX)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     response = invoke_plain(transport, inst, b"in the clear", CTX)
     assert (response.status, response.body) == (200, b"in the clear")
     assert calls == [b"in the clear"]
@@ -675,7 +656,7 @@ def test_invoke_plain_serves_an_active_context():
 
 def test_healthz_and_undeploy():
     host, _, transport, _ = build_host()
-    inst = host.deploy(app(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     response = transport.request(src="gateway", channel="data", method="GET",
                                  url=inst.uri + "/healthz")
     assert response.status == 200
@@ -694,10 +675,11 @@ def test_mgmt_wire_surface():
         src="lcmp", channel="mec-internal", method="POST",
         url="http://edge-a/mgmt/v1/deploy",
         body=dumps({"app": app_doc(), "handler": "fn-echo", "shareable": True,
-                    "chain_uri": None}),
+                    "chain_uri": None, "context_id": OTHER_CTX}),
     )
     uri = loads(raise_for_status(response).body)["uri"]
     assert uri.startswith("http://edge-a/apps/fn-echo-")
+    assert host._instance("fn-echo-1").active_contexts == {OTHER_CTX}
     for verb, payload in (("attach", {"uri": uri, "context_id": CTX}),
                           ("detach", {"uri": uri, "context_id": CTX}),
                           ("undeploy", {"uri": uri})):
@@ -715,11 +697,12 @@ def test_deploy_refuses_a_bad_slot_count(slots):
     response = transport.request(
         src="lcmp", channel="mec-internal", method="POST",
         url="http://edge-a/mgmt/v1/deploy",
-        body=dumps({"app": app_doc(slots=slots), "handler": "fn-echo", "chain_uri": None}),
+        body=dumps({"app": app_doc(slots=slots), "handler": "fn-echo", "chain_uri": None,
+                    "context_id": CTX}),
     )
     assert response.status == 400
     assert host.used_slots == 0
-    assert host.instances() == []
+    assert host._instances == {}
 
 
 @pytest.mark.parametrize("verb, payload", [
@@ -731,20 +714,22 @@ def test_deploy_refuses_a_bad_slot_count(slots):
     ("attach", {"uri": "http://edge-a/apps/fn-echo-1"}),
     ("attach", {"context_id": CTX}),
     ("detach", {"uri": "http://edge-a/apps/fn-echo-1", "context_id": ""}),
+    ("deploy", {"app": app_doc(), "handler": "fn-echo", "chain_uri": None}),
+    ("deploy", {"app": app_doc(), "handler": "fn-echo", "chain_uri": None, "context_id": ""}),
 ], ids=["undeploy-list", "attach-list", "detach-list", "undeploy-no-uri",
-        "undeploy-empty-uri", "attach-no-context", "attach-no-uri", "detach-empty-context"])
+        "undeploy-empty-uri", "attach-no-context", "attach-no-uri", "detach-empty-context",
+        "deploy-no-context", "deploy-empty-context"])
 def test_mgmt_body_without_its_fields_is_malformed(verb, payload):
     host, _, transport, _ = build_host()
-    inst = host.deploy(app(), "fn-echo", None)
+    inst = host.deploy(app(), "fn-echo", None, CTX)
     assert inst.uri == "http://edge-a/apps/fn-echo-1"
-    host.attach_context(inst.uri, CTX)
     response = transport.request(
         src="lcmp", channel="mec-internal", method="POST",
         url=f"http://edge-a/mgmt/v1/{verb}", body=dumps(payload),
     )
     assert response.status == 400
     assert loads(response.body)["code"] == "malformed"
-    assert host.instances() == [inst]
+    assert list(host._instances.values()) == [inst]
     assert inst.active_contexts == {CTX}
 
 

@@ -66,7 +66,7 @@ class HostKeyTable(RuleBasedStateMachine):
                             transport=self.transport, handlers={"fn-rec": handler})
         self.transport.register("edge-a", self.host.router())
         app = AppInfo(app_name="fn-rec", provider="demo", version="1.0", required_slots=1)
-        self.inst = self.host.deploy(app, "fn-rec", None)
+        self.inst = self.host.deploy(app, "fn-rec", None, CONTEXTS[0])
         self.client_kme = master
         self.contexts = {}
         for context_id, suite in zip(CONTEXTS, (1, 2)):

@@ -24,7 +24,7 @@ from edgeqkd.kme import KmeApi, KmeClient, new_kme_pair
 from edgeqkd.transport import InprocTransport, Router, WireResponse, json_response, raise_for_status
 from edgeqkd.wire import decode_error, dumps, loads
 
-from conftest import EXAMPLE_VARIANTS, example_doc, iter_frames
+from conftest import EXAMPLE_VARIANTS, example_doc, iter_frames, kme_status
 
 SEED = b"\x77" * 32
 
@@ -49,7 +49,7 @@ def test_kme_rest_roundtrip(kme_servers):
     client = KmeClient(transport, src="gateway", base_url="http://kme-client", channel="qkd")
     mec = KmeClient(transport, src="edge-a", base_url="http://kme-mec", channel="qkd")
 
-    status = client.get_status("sae-mec", size=256)
+    status = kme_status(transport, "http://kme-client", "sae-mec", size=256)
     assert status["stored_key_count"] == (1 << 16) // 256
     assert status["peer_sae"] == "sae-mec"
 
@@ -65,7 +65,7 @@ def test_kme_rest_error_bodies(kme_servers):
     master, slave, s_master, s_slave, transport = kme_servers
     client = KmeClient(transport, src="gateway", base_url="http://kme-client", channel="qkd")
     with pytest.raises(UnknownPeerError):
-        client.get_status("sae-wrong")
+        kme_status(transport, "http://kme-client", "sae-wrong")
     with pytest.raises(KeyExhaustedError):
         client.get_enc_keys("sae-mec", size=1 << 16, number=2)
     # raw response carries the symbolic code
@@ -497,6 +497,29 @@ def test_auth_token_scenario_is_served_on_both_transports():
             for mode in ("inproc", "http")}
     assert runs["http"].transcript_ndjson() == runs["inproc"].transcript_ndjson()
     assert (runs["http"].metrics.requests_ok, runs["http"].metrics.requests_total) == (15, 15)
+
+
+@pytest.mark.parametrize("mode", ["inproc", "http"])
+def test_route_set_up_is_one_context_creation_and_one_deploy(mode):
+    # the binding names the app, so set-up needs no discovery, and the deploy
+    # carries the new context, so no attach follows it
+    stack = Stack.build(ScenarioConfig.from_doc({**example_doc("example"), "transport": mode}))
+    try:
+        for path, body in (("/echo", b"e"), ("/upper", b"u"), ("/sum", b"[1]")):
+            assert stack.client_request(path, body).status == 200
+    finally:
+        stack.stop()
+    frames = [(record.channel, frame) for record, frame in iter_frames(stack.transcript.records())]
+    requests = [(channel, f.method, f.path) for channel, f in frames if f.kind == "REQ"]
+    assert len(requests) == 18
+    assert [r for r in requests if r[0] in ("mx2", "mec-internal")] == [
+        ("mx2", "POST", "/dev_app/v1/app_contexts"), ("mec-internal", "POST", "/mgmt/v1/deploy"),
+    ] * 3
+    created = [loads(f.body)["context_id"] for channel, f in frames
+               if channel == "mx2" and f.kind == "RSP"]
+    deployed = [loads(f.body)["context_id"] for channel, f in frames
+                if channel == "mec-internal" and f.kind == "REQ"]
+    assert deployed == created and len(set(created)) == 3
 
 
 def test_same_host_chain_over_http():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import threading
 import uuid
 
@@ -20,6 +21,8 @@ from edgeqkd.errors import (
 from edgeqkd.kme import EntropyPool, KmeApi, KmeClient, new_kme_pair
 from edgeqkd.transport import InprocTransport
 from edgeqkd.wire import dumps, loads
+
+from conftest import kme_status
 
 SEED = b"\x42" * 32
 
@@ -130,6 +133,15 @@ def test_release_is_consume_once_and_purges():
         slave.get_dec_keys("sae-client", [kid])
 
 
+def test_release_of_no_key_ids_is_refused():
+    master, slave = make_pair()
+    master.get_enc_keys("sae-mec", size=256)
+    with pytest.raises(BadLengthError):
+        master.pair.release("sae-client", [])
+    with pytest.raises(BadLengthError):
+        slave.get_dec_keys("sae-client", [])
+
+
 def test_release_unknown_id():
     _, slave = make_pair()
     with pytest.raises(UnknownKeyIdError):
@@ -151,6 +163,10 @@ def test_dispense_side_and_peer_checks():
         slave.get_enc_keys("sae-client", size=256)
     with pytest.raises(UnknownPeerError):
         master.get_enc_keys("sae-other", size=256)
+    # the slave side naming its own SAE: the pair's peer, but not a master link
+    with pytest.raises(UnknownPeerError):
+        slave.get_enc_keys("sae-mec", size=256)
+    assert master.pair.dispensed_keys == 0
 
 
 @pytest.mark.parametrize("length,count", [(0, 1), (100, 1), (-8, 1), (256, 0), (256, 1000)])
@@ -205,6 +221,22 @@ def test_rest_rejects_a_zero_or_boolean_number(method, url, body):
     assert master.pair.dispensed_keys == 0
 
 
+@pytest.mark.parametrize("url, body", [
+    ("http://kme-client/api/v1/keys/sae-mec/enc_keys", b"[1, 256]"),
+    ("http://kme-mec/api/v1/keys/sae-client/dec_keys", b""),
+    ("http://kme-mec/api/v1/keys/sae-client/dec_keys", b"{}"),
+    ("http://kme-mec/api/v1/keys/sae-client/dec_keys", b'{"key_IDs": null}'),
+    ("http://kme-mec/api/v1/keys/sae-client/dec_keys", b"[]"),
+], ids=["enc-keys-array", "dec-keys-empty", "dec-keys-no-key-ids", "dec-keys-null-key-ids",
+        "dec-keys-array"])
+def test_rest_answers_a_body_of_the_wrong_shape_as_bad_length(url, body):
+    master, _, transport = rest_pair()
+    response = transport.request(src="gateway", channel="qkd", method="POST", url=url, body=body)
+    assert response.status == 400
+    assert loads(response.body)["code"] == "bad-length"
+    assert master.pair.dispensed_keys == 0
+
+
 def test_rest_refuses_a_repeated_key_id_and_releases_nothing():
     master, _, transport = rest_pair()
     (kid, key), = master.get_enc_keys("sae-mec", size=256)
@@ -218,12 +250,13 @@ def test_rest_refuses_a_repeated_key_id_and_releases_nothing():
     assert client.get_dec_keys("sae-client", [kid]) == [(kid, key)]
 
 
-def _answers(master, slave) -> list:
-    """The same calls on any two key sources: each result, or its error's type."""
+def _answers(master, slave, master_status, slave_status) -> list:
+    """The same calls on any two key sources and their status reads: each
+    result, or its error's type."""
     (kid, _), (kid2, _) = keys = master.get_enc_keys("sae-mec", size=256, number=2)
     calls = [
-        lambda: master.get_status("sae-mec", size=256),
-        lambda: slave.get_status("sae-client"),
+        lambda: master_status("sae-mec", size=256),
+        lambda: slave_status("sae-client"),
         lambda: slave.get_dec_keys("sae-client", [kid]),
         lambda: slave.get_dec_keys("sae-client", [kid]),
         lambda: slave.get_dec_keys("sae-intruder", [kid2]),
@@ -234,10 +267,10 @@ def _answers(master, slave) -> list:
         lambda: slave.get_enc_keys("sae-client", size=256),
         lambda: master.get_enc_keys("sae-mec", size=12),
         lambda: master.get_enc_keys("sae-mec", size=256, number=0),
-        lambda: master.get_status("sae-nobody"),
-        lambda: slave.get_status("sae-client", size=0),
+        lambda: master_status("sae-nobody"),
+        lambda: slave_status("sae-client", size=0),
         lambda: slave.get_dec_keys("sae-client", [kid2]),
-        lambda: master.get_status("sae-mec", size=256),
+        lambda: master_status("sae-mec", size=256),
     ]
     out: list = [keys]
     for call in calls:
@@ -249,11 +282,14 @@ def _answers(master, slave) -> list:
 
 
 def test_a_handle_and_a_rest_client_give_the_same_answers():
-    direct = _answers(*make_pair())
+    master, slave = make_pair()
+    direct = _answers(master, slave, master.get_status, slave.get_status)
     _, _, transport = rest_pair()
     over_rest = _answers(
         KmeClient(transport, src="gateway", base_url="http://kme-client", channel="qkd"),
-        KmeClient(transport, src="edge-a", base_url="http://kme-mec", channel="qkd"))
+        KmeClient(transport, src="edge-a", base_url="http://kme-mec", channel="qkd"),
+        functools.partial(kme_status, transport, "http://kme-client"),
+        functools.partial(kme_status, transport, "http://kme-mec"))
     assert direct == over_rest
     assert [a for a in direct if isinstance(a, type)] == [
         AlreadyConsumedError, WrongPeerError, WrongPeerError, BadLengthError, UnknownKeyIdError,

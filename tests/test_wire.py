@@ -21,7 +21,6 @@ from edgeqkd.wire import (
     b64encode,
     decode_error,
     decode_key_container,
-    decode_status,
     dumps,
     encode_error,
     encode_key_container,
@@ -70,6 +69,9 @@ def test_decode_tolerates_unknown_fields():
     b'{"keys":[{"key_ID":"not-a-uuid","key":"YWJj"}]}',
     ('{"keys":[{"key_ID":"%s","key":"!!bad-base64!!"}]}' % KEY_ID).encode(),
     ('{"keys":[{"key_ID":"%s"}]}' % KEY_ID).encode(),
+    # entries that are not objects, though `in` finds both names in them
+    b'{"keys":[["key_ID","key"]]}',
+    b'{"keys":["key_ID key"]}',
 ])
 def test_decode_rejects_malformed(payload):
     with pytest.raises(MalformedError):
@@ -89,14 +91,12 @@ def test_container_roundtrip(pairs):
 def test_status_roundtrip():
     doc = {"peer_sae": "sae-mec", "key_length_default": 256,
            "stored_key_count": 4, "max_key_per_request": 128}
-    assert decode_status(encode_status(doc)) == doc
+    assert loads(encode_status(doc)) == doc
 
 
 def test_status_missing_field():
     with pytest.raises(ValueError):
         encode_status({"peer_sae": "x"})
-    with pytest.raises(MalformedError):
-        decode_status(b'{"peer_sae":"x"}')
 
 
 def test_error_roundtrip():
